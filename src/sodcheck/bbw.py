@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .gl_weights import Weight, dualize, tensor_rank2, weight_multiset, weyl_dim
+from .gl_weights import Weight, dualize, tensor_rank2, weyl_dim
 
 
 class HomFactor:

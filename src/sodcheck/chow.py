@@ -9,9 +9,12 @@ to come out an integer, which is a real consistency check of the tables.
 Two kinds of rings are provided:
 
 * homogeneous rings for the Grassmannian factors (and their products), which
-  also know the Chern classes of the tautological bundles so that the Chern
-  character of any equivariant bundle can be evaluated by reducing symmetric
-  functions of the Chern roots to elementary ones;
+  also carry the Chern characters of the tautological bundles.  The Chern
+  character of any equivariant bundle is evaluated in the ring itself: Adams
+  operations on those characters give the power sums of the roots, Newton's
+  identities the complete classes, and the Jacobi-Trudi determinant the
+  Schur functor (Fulton-Harris, Representation Theory, App. A; Macdonald,
+  Symmetric Functions and Hall Polynomials, I.2-I.3);
 * the blowup of projective 3-space in N points, with exceptional divisor
   square classes and the pushforward characters of sheaves on the
   exceptional planes.
@@ -27,7 +30,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bbw import GR23, GR24, P3, EquivariantBundle, HomFactor, irr
-from .gl_weights import weight_multiset
 
 Frac = Fraction
 
@@ -110,6 +112,14 @@ class ChowClass:
             ],
         )
 
+    def adams(self, k: int) -> "ChowClass":
+        """Adams operation psi^k on a Chern character: the codimension-d
+        part scaled by k^d (psi^-1 is the dual)."""
+        return ChowClass(
+            self.ring,
+            [c * k ** self.ring.codim[i] for i, c in enumerate(self.coeffs)],
+        )
+
     def degree(self) -> Frac:
         return sum(
             (c * d for c, d in zip(self.coeffs, self.ring.deg)), Frac(0)
@@ -163,7 +173,7 @@ class ChowRing:
         self.index = {lbl: i for i, lbl in enumerate(self.basis)}
         # optional equipment, set by builders:
         self.factors: tuple[HomFactor, ...] = ()
-        self._taut: list[tuple[list[ChowClass], list[ChowClass]]] = []
+        self._taut: list[tuple[ChowClass, ChowClass]] = []  # ch(U), ch(Q)
         self.todd: ChowClass | None = None
         self.canonical_ch: ChowClass | None = None
         self._ch_cache: dict = {}
@@ -193,103 +203,47 @@ class ChowRing:
 
 
 # --------------------------------------------------------------------------
-# symmetric-function utilities (exponent-tuple polynomials over Fraction)
+# Chern characters of Schur bundles
 
-def _poly_mul(a, b, maxdeg):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if sum(e) > maxdeg:
-                continue
-            out[e] = out.get(e, Frac(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _exp_linear(coeffs, maxdeg):
-    """exp(sum coeffs_a x_a) as an exponent-tuple polynomial, truncated."""
-    n = len(coeffs)
-    out = {tuple([0] * n): Frac(1)}
-    for a, m in enumerate(coeffs):
-        if m == 0:
-            continue
-        # multiply by exp(m * x_a)
-        base = {}
-        powc = Frac(1)
-        for j in range(maxdeg + 1):
-            e = [0] * n
-            e[a] = j
-            base[tuple(e)] = powc
-            powc = powc * m / (j + 1)
-        out = _poly_mul(out, base, maxdeg)
-    return out
-
-
-def _elementary_poly(i, n, maxdeg):
-    out = {}
-    for subset in itertools.combinations(range(n), i):
-        e = [0] * n
-        for a in subset:
-            e[a] = 1
-        out[tuple(e)] = Frac(1)
-    return out if i <= n else {}
-
-
-def _expand_e_monomial(mexp, n, maxdeg):
-    out = {tuple([0] * n): Frac(1)}
-    for i, m in enumerate(mexp, start=1):
-        for _ in range(m):
-            out = _poly_mul(out, _elementary_poly(i, n, maxdeg), maxdeg)
-    return out
-
-
-def _symmetric_to_elementary(poly, n, maxdeg):
-    """Write a symmetric polynomial as a combination of elementary-symmetric
-    monomials, by repeated subtraction of the lex-leading term."""
-    work = {e: c for e, c in poly.items() if c}
-    out = []
-    while work:
-        alpha = max(work)
-        c = work[alpha]
-        if any(alpha[i] < alpha[i + 1] for i in range(n - 1)):
-            raise AssertionError(
-                f"polynomial is not symmetric: stray leading term {alpha}"
-            )
-        mexp = tuple(
-            alpha[i] - alpha[i + 1] for i in range(n - 1)
-        ) + (alpha[-1],)
-        # the expansion's lex-leading monomial is alpha with coefficient 1,
-        # so subtracting c * expansion cancels the leading term exactly
-        expansion = _expand_e_monomial(mexp, n, maxdeg)
-        assert expansion.get(alpha) == 1
-        for e, v in expansion.items():
-            nv = work.get(e, Frac(0)) - c * v
-            if nv:
-                work[e] = nv
-            else:
-                work.pop(e, None)
-        out.append((mexp, c))
-    return out
-
-
-def _ch_rep(ring, weight, e_values, maxdeg):
+def _ch_rep(ring, weight, ch_e):
     """Chern character of the irreducible Schur bundle with highest weight
-    ``weight`` applied to the DUAL of the bundle whose elementary Chern
-    classes are ``e_values`` (so each weight mu contributes exp(-<mu, x>))."""
-    n = len(e_values)
-    total = {}
-    for mu in weight_multiset(weight):
-        term = _exp_linear([-m for m in mu], maxdeg)
-        for e, c in term.items():
-            total[e] = total.get(e, Frac(0)) + c
-    combo = _symmetric_to_elementary(total, n, maxdeg)
+    ``weight`` applied to the DUAL of the bundle E with character ``ch_e``.
+
+    Write weight = lam + t(1, ..., 1) with lam a partition.  With x_i the
+    Chern roots of E, the character is s_weight(y) for y_i = exp(-x_i), so:
+
+    * the power sums p_k(y) are the Adams operations psi^k ch(E-dual), the
+      degree-d part of ch(E) scaled by (-k)^d (Fulton-Harris, App. A);
+    * Newton's identities m h_m = sum_i p_i h_{m-i} give the complete
+      classes h_m(y), and the Jacobi-Trudi determinant det(h_{lam_i-i+j})
+      gives s_lam(y) (Macdonald, Symmetric Functions, I.2-I.3);
+    * the twist (y_1 ... y_r)^t is exp(-t c_1(E)).
+    """
+    t = weight[-1]
+    lam = [w - t for w in weight if w != t]
+    n = len(lam)
+    top = lam[0] + n - 1 if lam else 0  # the largest h_m the matrix uses
+    p = [None] + [ch_e.adams(-k) for k in range(1, top + 1)]
+    h = [ring.one()]
+    for m in range(1, top + 1):
+        acc = ring.zero()
+        for i in range(1, m + 1):
+            acc = acc + p[i] * h[m - i]
+        h.append(acc.scale(Frac(1, m)))
     out = ring.zero()
-    for mexp, c in combo:
-        val = ring.one()
-        for i, m in enumerate(mexp):
-            for _ in range(m):
-                val = val * e_values[i]
-        out = out + val.scale(c)
+    for perm in itertools.permutations(range(n)):
+        idx = [lam[i] - i + j for i, j in enumerate(perm)]
+        if min(idx, default=0) < 0:
+            continue
+        term = ring.one()
+        for k in idx:
+            term = term * h[k]
+        inversions = sum(
+            perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2)
+        )
+        out = out + (-term if inversions % 2 else term)
+    if t:
+        out = out * ch_e.component(1).scale(-t).exp()
     return out
 
 
@@ -306,9 +260,8 @@ def ch_bundle(ring: ChowRing, bundle: EquivariantBundle) -> ChowClass:
             key = (fi, sw.entries, qw.entries)
             got = ring._ch_cache.get(key)
             if got is None:
-                c_sub, c_quot = ring._taut[fi]
-                part = _ch_rep(ring, sw, c_sub, ring.dim)
-                part = part * _ch_rep(ring, qw, c_quot, ring.dim)
+                ch_sub, ch_quot = ring._taut[fi]
+                part = _ch_rep(ring, sw, ch_sub) * _ch_rep(ring, qw, ch_quot)
                 ring._ch_cache[key] = part
                 got = part
             val = val * got
@@ -318,7 +271,25 @@ def ch_bundle(ring: ChowRing, bundle: EquivariantBundle) -> ChowClass:
 
 
 # --------------------------------------------------------------------------
-# Chern classes from the character; universal Todd polynomial
+# Newton's identities between Chern classes and characters; Todd polynomial
+
+def ch_from_chern(ring: ChowRing, c: list[ChowClass]) -> ChowClass:
+    """Chern character of a bundle of rank len(c) from its Chern classes
+    c_1..c_r, the power sums of the roots by Newton's identities."""
+    e = [ring.one()] + list(c) + [ring.zero()] * ring.dim
+    p: list = [None]  # power sums, 1-indexed
+    ch = ring.one().scale(len(c))
+    fact = 1
+    for m in range(1, ring.dim + 1):
+        acc = e[m].scale(m if m % 2 else -m)
+        for i in range(1, m):
+            term = e[i] * p[m - i]
+            acc = acc + (term if i % 2 else -term)
+        p.append(acc)
+        fact *= m
+        ch = ch + acc.scale(Frac(1, fact))
+    return ch
+
 
 def chern_from_ch(ring: ChowRing, ch: ChowClass) -> list[ChowClass]:
     """c_1..c_dim from a Chern character via Newton's identities."""
@@ -337,30 +308,15 @@ def chern_from_ch(ring: ChowRing, ch: ChowClass) -> list[ChowClass]:
     return e[1:]
 
 
-def todd_from_chern(ring: ChowRing, c: list[ChowClass]) -> ChowClass:
-    """Todd class up to degree 4 from Chern classes (enough for dim <= 4)."""
-    if ring.dim > 4:
-        raise ValueError("direct Todd expansion implemented up to dimension 4")
-    c = list(c) + [ring.zero()] * (4 - len(c))
-    c1, c2, c3, c4 = c[0], c[1], c[2], c[3]
-    td = ring.one() + c1.scale(Frac(1, 2))
-    td = td + (c1 * c1 + c2).scale(Frac(1, 12))
-    td = td + (c1 * c2).scale(Frac(1, 24))
-    td = td + (
-        (c1 * c1 * c2).scale(4)
-        + (c1 * c3)
-        + (c2 * c2).scale(3)
-        - (c1 * c1 * c1 * c1)
-        - c4
-    ).scale(Frac(1, 720))
-    return td
-
-
 def _equip_homogeneous(ring, factors, taut):
-    """Attach tautological Chern data and compute the Todd class from the
-    equivariant tangent bundle (U-dual tensor quotient on each factor)."""
+    """Attach the tautological characters, converted once from the Chern
+    classes in ``taut`` (one (c(U), c(Q)) pair per factor), and compute the
+    Todd class from the equivariant tangent bundle (U-dual tensor quotient
+    on each factor)."""
     ring.factors = tuple(factors)
-    ring._taut = taut
+    ring._taut = [
+        (ch_from_chern(ring, cu), ch_from_chern(ring, cq)) for cu, cq in taut
+    ]
     td = ring.one()
     c1_total = ring.zero()
     for fi, f in enumerate(ring.factors):
@@ -589,16 +545,11 @@ def ring_product(a: ChowRing, b: ChowRing, name=None) -> ChowRing:
 
     ring.factors = a.factors + b.factors
     ring._taut = [
-        ([embed(a, c) for c in cs], [embed(a, c) for c in cq])
-        for cs, cq in a._taut
-    ] + [
-        ([embed(b, c) for c in cs], [embed(b, c) for c in cq])
-        for cs, cq in b._taut
+        (embed(side, cu), embed(side, cq))
+        for side in (a, b) for cu, cq in side._taut
     ]
     ring.todd = embed(a, a.todd) * embed(b, b.todd)
     ring.canonical_ch = embed(a, a.canonical_ch) * embed(b, b.canonical_ch)
-    ring.embed_left = lambda cls: embed(a, cls)
-    ring.embed_right = lambda cls: embed(b, cls)
     _CACHE[name] = ring
     return ring
 
@@ -613,8 +564,13 @@ def ring_blowup(n: int) -> ChowRing:
     Basis 1, h, e_1..e_n, h^2, e_1^2..e_n^2, pt with relations
     h.e_i = 0, e_i.e_j = 0 (i != j), h^3 = pt, e_i^3 = pt.
     The second Chern class of the tangent bundle is pinned by requiring
-    chi(O) = 1 and chi(O(-e_i)) = 0.
+    chi(O) = 1 and chi(O(-e_i)) = 0.  At most 11 points: from 12 on, the
+    label of e_12 would be that of e_1^2.
     """
+    if not 0 <= n <= 11:
+        raise ValueError(
+            f"the blowup of P3 supports 0 to 11 points, got {n}"
+        )
     key = ("blowup", n)
     if key in _CACHE:
         return _CACHE[key]
@@ -653,13 +609,7 @@ def ring_blowup(n: int) -> ChowRing:
         esum = esum + ring.monomial(f"e{i}")
     c1 = h.scale(4) - esum.scale(2)
     c2 = ring.monomial("h2", 6)
-    ring.c1 = c1
-    ring.todd = (
-        ring.one()
-        + c1.scale(Frac(1, 2))
-        + (c1 * c1 + c2).scale(Frac(1, 12))
-        + (c1 * c2).scale(Frac(1, 24))
-    )
+    ring.todd = _todd_any_dim(ring, [c1, c2], 3)
     ring.canonical_ch = (-c1).exp()
     _CACHE[key] = ring
     return ring

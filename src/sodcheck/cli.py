@@ -35,9 +35,29 @@ from .varieties import (
 )
 
 
+#: blowup point count when --nodes is not given
+DEFAULT_NODES = 10
+
+
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
+
+
+def _node_count(text: str) -> int:
+    """argparse type of --nodes: a positive integer."""
+    try:
+        nodes = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if nodes < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {nodes}")
+    return nodes
+
+
+def _variety(args):
+    nodes = DEFAULT_NODES if args.nodes is None else args.nodes
+    return get_variety(args.space, nodes)
 
 
 def _print_graded(ans, as_json: bool, strict: bool) -> int:
@@ -74,33 +94,33 @@ def _print_graded(ans, as_json: bool, strict: bool) -> int:
 
 
 def cmd_bbw(args) -> int:
-    v = get_variety(args.space, args.nodes)
+    v = _variety(args)
     ans = v.ext("O", args.bundle)
     return _print_graded(ans, args.json, args.strict)
 
 
 def cmd_hyper(args) -> int:
-    v = get_variety(args.space, args.nodes)
+    v = _variety(args)
     ans = v.ext(args.source, args.target)
     return _print_graded(ans, args.json, args.strict)
 
 
 def cmd_chi(args) -> int:
-    v = get_variety(args.space, args.nodes)
+    v = _variety(args)
     val = v.chi("O", args.bundle)
     print(json.dumps({"chi": val}) if args.json else f"chi = {val}")
     return 0
 
 
 def cmd_pair(args) -> int:
-    v = get_variety(args.space, args.nodes)
+    v = _variety(args)
     val = v.chi(args.source, args.target)
     print(json.dumps({"chi": val}) if args.json else f"chi = {val}")
     return 0
 
 
 def cmd_mutate(args) -> int:
-    v = get_variety(args.space, args.nodes)
+    v = _variety(args)
     e = v.kclass(args.pivot)
     f = v.kclass(args.moved)
     if args.direction == "left":
@@ -117,7 +137,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    v = get_variety(args.space, args.nodes)
+    v = _variety(args)
     classes = [v.kclass(lbl) for lbl in args.labels]
     mat = gram(v.lattice, classes)
     tri = is_unitriangular(mat)
@@ -293,7 +313,7 @@ def run_property_suite(rounds: int = 40):
 
 
 def cmd_verify_all(args) -> int:
-    nodes = args.nodes if args.nodes is not None else 10
+    nodes = DEFAULT_NODES if args.nodes is None else args.nodes
     checks = []
     axioms_used: set[str] = set()
 
@@ -365,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     parser.add_argument("--strict", action="store_true",
                         help="fail on evidence below graded certainty")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="blowup point count (default 10)")
+    parser.add_argument("--nodes", type=_node_count, default=None,
+                        help=f"blowup point count (default {DEFAULT_NODES})")
     parser.add_argument("--catalog", default=None,
                         help="directory of scenario files overriding the "
                              "bundled set")

@@ -16,6 +16,7 @@ from sodcheck.chow import (
     blowup_line_ch,
     blowup_plane_ch,
     ch_bundle,
+    ch_from_chern,
     chern_from_ch,
     chi,
     euler_pairing,
@@ -143,13 +144,40 @@ def test_ch_sym_square_sub():
 
 
 def test_ch_additive_and_multiplicative():
+    # the Jacobi-Trudi characters against the Clebsch-Gordan split of the
+    # tensor product on both rank-2 factors
     g = ring_gr24()
-    a = irr((GR24,), [((1, 0), (0, 0))])
-    b = irr((GR24,), [((0, -1), (0, 0))])
-    ch_sum = ch_bundle(g, a + b)
-    assert ch_sum == ch_bundle(g, a) + ch_bundle(g, b)
-    ch_prod = ch_bundle(g, a.tensor(b))
-    assert ch_prod == ch_bundle(g, a) * ch_bundle(g, b)
+    pairs = [(((1, 0), (0, 0)), ((0, -1), (0, 0)))]
+    rng = random.Random(24)
+
+    def weight():
+        return tuple(sorted((rng.randint(-3, 3) for _ in range(2)),
+                            reverse=True))
+
+    pairs += [((weight(), weight()), (weight(), weight()))
+              for _ in range(30)]
+    for pa, pb in pairs:
+        a, b = irr((GR24,), [pa]), irr((GR24,), [pb])
+        ch_sum = ch_bundle(g, a + b)
+        assert ch_sum == ch_bundle(g, a) + ch_bundle(g, b)
+        ch_prod = ch_bundle(g, a.tensor(b))
+        assert ch_prod == ch_bundle(g, a) * ch_bundle(g, b)
+
+
+def test_ch_tangent_p3_euler_sequence():
+    # T = U-dual x Q: a rank-3 quotient factor with a determinant twist;
+    # 0 -> O -> O(1)^4 -> T -> 0 gives ch T = 4 exp(h) - 1
+    r = ring_p3()
+    tangent = irr((P3,), [((1,), (0, 0, -1))])
+    assert ch_bundle(r, tangent) == \
+        r.monomial("h").exp().scale(4) - r.one()
+
+
+def test_ch_from_chern_matches_schur_route():
+    g = ring_gr24()
+    s1, s11 = g.monomial("s1"), g.monomial("s11")
+    u = irr((GR24,), [((0, -1), (0, 0))])
+    assert ch_from_chern(g, [-s1, s11]) == ch_bundle(g, u)
 
 
 def test_ch_respects_duality():
@@ -228,6 +256,15 @@ def test_blowup_chi_pins():
         assert chi(y, blowup_line_ch(y, 0, es)) == 0
     assert chi(y, blowup_line_ch(y, 1, [0] * 10)) == 4
     assert chi(y, blowup_line_ch(y, -1, [0] * 10)) == 0
+
+
+def test_blowup_point_limit():
+    y = ring_blowup(11)
+    assert len(set(y.basis)) == len(y.basis)
+    assert chi(y, y.one()) == 1
+    for n in (12, -1):
+        with pytest.raises(ValueError, match="0 to 11 points"):
+            ring_blowup(n)
 
 
 def test_blowup_plane_character_frozen():

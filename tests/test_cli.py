@@ -76,6 +76,44 @@ def test_chi_and_pair(capsys):
     assert code == 0 and "chi =" in out
 
 
+def test_blowup_queries_default_to_ten_nodes(capsys):
+    code, out = run(capsys, "chi", "blown_p3", "O(h)")
+    assert code == 0 and out.strip() == "chi = 4"
+    code, out = run(capsys, "pair", "blown_p3", "O(h)", "O_E1")
+    assert code == 0 and out.strip() == "chi = 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--nodes", "0", "verify-all"),
+    ("--nodes", "-2", "bbw", "blown_p3", "O(h)"),
+])
+def test_nodes_below_one_is_an_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "argument --nodes: must be at least 1" in capsys.readouterr().err
+
+
+def test_nodes_past_the_blowup_limit_is_an_input_error(tmp_path, capsys):
+    code = main(["--nodes", "12", "bbw", "blown_p3", "O(h)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: the blowup of P3 supports 0 to 11 points, got 12\n"
+    path = tmp_path / "many.sod"
+    path.write_text(
+        "scenario many\n"
+        "variety blown_p3\n"
+        "nodes 12\n"
+        "initial:\n"
+        "  entry O\n"
+        "expect:\n"
+        "  entry O\n"
+    )
+    code = main(["replay", str(path)])
+    assert code == 2
+    assert "0 to 11 points" in capsys.readouterr().err
+
+
 def test_mutate_and_gram(capsys):
     code, out = run(capsys, "mutate", "P3", "left", "O", "O(h)")
     assert code == 0
