@@ -424,51 +424,3 @@ def is_unitriangular(matrix: Sequence[Sequence[int]]) -> bool:
                 return False
     return True
 
-
-def integer_coordinates(basis_vectors, target):
-    """Solve target = sum x_i basis_vectors[i] with integer x_i.
-
-    Vectors are sequences of Fractions (coefficient tuples of ChowClasses).
-    Returns the integer list or None (no rational solution, or a
-    non-integral one).
-    """
-    from fractions import Fraction
-
-    rows = [list(map(Fraction, v)) for v in basis_vectors]
-    t = list(map(Fraction, target))
-    if not rows:
-        return [] if not any(t) else None
-    ncols = len(rows[0])
-    # solve x . rows = t by Gaussian elimination on the transposed system
-    aug = [[rows[i][j] for i in range(len(rows))] + [t[j]]
-           for j in range(ncols)]
-    nvars = len(rows)
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        head = aug[r][c]
-        aug[r] = [x / head for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    x = [Fraction(0)] * nvars
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][nvars]
-    # rows beyond the pivot rank must be consistent
-    for i in range(r, len(aug)):
-        if aug[i][nvars]:
-            return None
-    if any(v.denominator != 1 for v in x):
-        return None
-    # verify
-    for j in range(ncols):
-        if sum(x[i] * rows[i][j] for i in range(nvars)) != t[j]:
-            return None
-    return [int(v) for v in x]

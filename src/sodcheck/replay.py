@@ -189,6 +189,17 @@ def _parse_entry_line(line: str):
     raise ReplayError(f"unknown entry declaration {line!r}")
 
 
+def _node_count(text: str) -> int:
+    """The value of a ``nodes`` line: a positive integer."""
+    try:
+        nodes = int(text)
+    except ValueError:
+        nodes = 0
+    if nodes < 1:
+        raise ReplayError(f"nodes must be a positive integer, got {text!r}")
+    return nodes
+
+
 def parse_scenario(text: str) -> Scenario:
     name = variety_name = title = None
     nodes = 10
@@ -226,7 +237,7 @@ def parse_scenario(text: str) -> Scenario:
         elif line.startswith("variety "):
             variety_name = line.split(None, 1)[1].strip()
         elif line.startswith("nodes "):
-            nodes = int(line.split(None, 1)[1])
+            nodes = _node_count(line.split(None, 1)[1])
         elif line.startswith("title "):
             title = line.split(None, 1)[1].strip().strip('"')
         elif line.startswith("allow_axioms"):
@@ -548,7 +559,7 @@ class _Runner:
     def _serre_concrete(self, e: Concrete, inverse: bool) -> Concrete:
         label = self.variety.serre_label(e.label, inverse)
         cls = self.lattice.serre(e.cls, inverse)
-        return Concrete(self.variety.canon(label), e.parity, cls, e.index)
+        return Concrete(label, e.parity, cls, e.index)
 
     # twist_all by=LABEL
     def step_twist_all(self, step: Step) -> None:
@@ -568,10 +579,10 @@ class _Runner:
         return self._twist_concrete(entry, by)
 
     def _twist_concrete(self, e: Concrete, by: str) -> Concrete:
-        label = self.variety.canon(self.variety.twist_label(e.label, by))
+        label = self.variety.twist_label(e.label, by)
         if isinstance(e.cls, FormalClass):
             cls = self.lattice.combo({
-                self.variety.canon(self.variety.twist_label(g, by)): c
+                self.variety.twist_label(g, by): c
                 for g, c in e.cls.coeffs.items()
             })
         else:

@@ -19,6 +19,17 @@ Each space of interest is wrapped in a :class:`Variety` that knows how to
   UNCHECKED  nothing certified
   ========== =========================================================
 
+Label contract.  A variety parses a label once into a hashable key (a
+tuple; ``O(-2h+e)`` on the blowup is ``("line", -2, (1, .., 1))``), and its
+``format`` is the only place label text is written.  Twists and the Serre
+twist act on keys, so ``canon``, ``ext``, ``twist_label`` and
+``serre_label`` are written once on :class:`Variety` and take and return
+text only at the boundary.  Each object has one written form: symmetric
+powers are ``S<p>U``/``S<p>Uv`` with p >= 2 and no leading zeros (``S1U``
+is ``U`` and ``S0U`` is ``O``), and on the N-point blowups the exceptional
+symbols are exactly ``e1 .. eN`` besides ``h``, ``e`` and ``H`` (``e01``
+is an unknown symbol).
+
 The catalog covers the ambient homogeneous spaces (projective 3-space,
 the two Grassmannians of planes, and the mixed product), the
 net-of-quadrics fourfold carved inside that product, the N-point blowup
@@ -175,14 +186,12 @@ _CLIFF = re.compile(r"^Cliff_(-?\d+)(?:\((.*)\))?$")
 _PLANE = re.compile(r"^O_Pl(\d+)(?:\((-?\d+)\))?$")
 _EPLANE = re.compile(r"^O_E(\d+)(?:\((-?\d+)\))?$")
 _QUAD = re.compile(r"^O_Q(\d+)(?:\((-?\d+),(-?\d+)\))?$")
-_EIDX = re.compile(r"^e(\d+)$")
 
 
-def parse_twist(text: str, symbols, nodes: int = 0) -> dict[str, int]:
+def parse_twist(text: str, symbols) -> dict[str, int]:
     """Parse a twist expression like ``-2g+h`` or ``-H-e1`` to coefficients.
 
-    ``symbols`` is the set of allowed symbol names; ``e#`` in the set allows
-    the indexed symbols ``e1 .. e<nodes>``.
+    ``symbols`` is the set of allowed symbol names.
     """
     text = text.replace(" ", "")
     out: dict[str, int] = {}
@@ -197,9 +206,7 @@ def parse_twist(text: str, symbols, nodes: int = 0) -> dict[str, int]:
         coeff = int(m.group(2)) if m.group(2) else 1
         sym = m.group(3)
         if sym not in symbols:
-            em = _EIDX.match(sym)
-            if not (em and "e#" in symbols and 1 <= int(em.group(1)) <= nodes):
-                raise ValueError(f"unknown twist symbol {sym!r} in {text!r}")
+            raise ValueError(f"unknown twist symbol {sym!r} in {text!r}")
         out[sym] = out.get(sym, 0) + sign * coeff
         pos = m.end()
     return {s: c for s, c in out.items() if c}
@@ -213,6 +220,11 @@ def _split_twist(label: str) -> tuple[str, str]:
             raise ValueError(f"unbalanced parentheses in {label!r}")
         return label[:i], label[i + 1:-1]
     return label, ""
+
+
+def _wrap(head: str, text: str) -> str:
+    """``head(text)``, or the bare head when the twist text is empty."""
+    return f"{head}({text})" if text else head
 
 
 def _fmt_term(coeff: int, sym: str) -> str:
@@ -267,8 +279,19 @@ def kind_pairs(factor: HomFactor, kind: str):
 _BUNDLE_KINDS = ("O", "U", "Uv", "V/U", "V/Uv")
 
 
-def _is_bundle_kind(kind: str) -> bool:
-    return kind in _BUNDLE_KINDS or bool(_SYM_POWER.match(kind))
+def _bundle_kind(kind: str) -> str | None:
+    """The one written form of a bundle kind, or None for a non-kind.
+
+    Symmetric powers lose leading zeros, ``S1U``/``S1Uv`` become
+    ``U``/``Uv`` and ``S0U``/``S0Uv`` become ``O``.
+    """
+    if kind in _BUNDLE_KINDS:
+        return kind
+    m = _SYM_POWER.match(kind)
+    if not m:
+        return None
+    p, which = int(m.group(1)), m.group(2)
+    return "O" if p == 0 else which if p == 1 else f"S{p}{which}"
 
 
 # --------------------------------------------------------------------------
@@ -402,31 +425,56 @@ def _quadric_cohomology(a: int, b: int) -> dict[int, int]:
 # variety base
 
 class Variety:
-    """A space with labelled objects, a class lattice, and an Ext oracle."""
+    """A space with labelled objects, a class lattice, and an Ext oracle.
+
+    A subclass supplies ``parse`` (label text to a hashable key),
+    ``format`` (key to label text, the only writer of labels),
+    ``is_line``, ``twist`` (key twisted by a line-bundle key), ``kclass``,
+    ``_ext`` on keys, and ``serre``, the line-bundle labels of the
+    canonical bundle and its inverse.  Everything that takes label text
+    is written here once on top of those.
+    """
 
     name: str
     dim: int
+    serre: tuple[str, str]
 
     def parse(self, label: str):
         raise NotImplementedError
 
-    def canon(self, label: str) -> str:
+    def format(self, key) -> str:
+        raise NotImplementedError
+
+    def is_line(self, key) -> bool:
+        raise NotImplementedError
+
+    def twist(self, key, line_key):
         raise NotImplementedError
 
     def kclass(self, label: str):
         raise NotImplementedError
 
-    def ext(self, a: str, b: str) -> ExtAnswer:
+    def _ext(self, pa, pb) -> ExtAnswer:
         raise NotImplementedError
+
+    def canon(self, label: str) -> str:
+        return self.format(self.parse(label))
+
+    def ext(self, a: str, b: str) -> ExtAnswer:
+        return self._ext(self.parse(a), self.parse(b))
 
     def chi(self, a: str, b: str) -> int:
         return self.lattice.pair(self.kclass(a), self.kclass(b))
 
     def twist_label(self, label: str, by: str) -> str:
-        raise NotImplementedError
+        line_key = self.parse(by)
+        if not self.is_line(line_key):
+            raise ValueError("can only twist by a line-bundle label")
+        return self.format(self.twist(self.parse(label), line_key))
 
     def serre_label(self, label: str, inverse: bool = False) -> str:
-        raise NotImplementedError
+        """Twist by the canonical bundle, or by its inverse."""
+        return self.twist_label(label, self.serre[inverse])
 
     def resolve_axioms(self, label: str) -> tuple[str, ...]:
         """Imported statements needed to even name this label's class."""
@@ -444,7 +492,8 @@ class HomogeneousVariety(Variety):
 
     Bundle kinds (U, Uv, S2U, ..., V/U) always refer to the first factor;
     line twists use one symbol per factor (``g`` for a Grassmannian
-    factor, ``h`` for a projective-space factor).
+    factor, ``h`` for a projective-space factor).  Keys are
+    ``(kind, twists)`` with one twist per factor.
     """
 
     def __init__(self, name, space, ring, symbols, grass_kinds):
@@ -455,52 +504,45 @@ class HomogeneousVariety(Variety):
         self.grass_kinds = grass_kinds
         self.dim = sum(f.dim for f in self.space)
         self.lattice = AmbientLattice(ring, name)
+        self.serre = tuple(
+            self.format(("O", tuple(sign * f.n for f in self.space)))
+            for sign in (-1, 1)
+        )
 
     def parse(self, label: str):
-        kind, twist_text = _split_twist(label)
-        if not _is_bundle_kind(kind):
+        written, twist_text = _split_twist(label)
+        kind = _bundle_kind(written)
+        if kind is None:
             raise ValueError(f"{self.name} cannot parse label {label!r}")
         if kind != "O" and not self.grass_kinds:
             raise ValueError(f"{self.name} only carries line-bundle labels")
         tw = parse_twist(twist_text, set(self.symbols))
         return kind, tuple(tw.get(s, 0) for s in self.symbols)
 
-    def canon(self, label: str) -> str:
-        kind, twists = self.parse(label)
-        text = _fmt_twist(list(zip(twists, self.symbols)))
-        return f"{kind}({text})" if text else kind
+    def format(self, key) -> str:
+        kind, twists = key
+        return _wrap(kind, _fmt_twist(zip(twists, self.symbols)))
 
-    def bundle(self, label: str) -> EquivariantBundle:
-        kind, twists = self.parse(label)
+    def is_line(self, key) -> bool:
+        return key[0] == "O"
+
+    def twist(self, key, line_key):
+        kind, twists = key
+        return kind, tuple(t + o for t, o in zip(twists, line_key[1]))
+
+    def _bundle(self, key) -> EquivariantBundle:
+        kind, twists = key
         pairs = [kind_pairs(self.space[0], kind)]
         pairs += [kind_pairs(f, "O") for f in self.space[1:]]
         b = irr(self.space, pairs)
         return b.twist(twists) if any(twists) else b
 
     def kclass(self, label: str):
-        return ch_bundle(self.ring, self.bundle(label))
+        return ch_bundle(self.ring, self._bundle(self.parse(label)))
 
-    def ext(self, a: str, b: str) -> ExtAnswer:
-        res = cohomology(self.bundle(a).dual().tensor(self.bundle(b)))
+    def _ext(self, pa, pb) -> ExtAnswer:
+        res = cohomology(self._bundle(pa).dual().tensor(self._bundle(pb)))
         return _from_graded(res.dims(), BBW, "weight staircase")
-
-    def twist_label(self, label: str, by: str) -> str:
-        kind, twists = self.parse(label)
-        okind, of = self.parse(by)
-        if okind != "O":
-            raise ValueError("can only twist by a line-bundle label")
-        merged = tuple(t + o for t, o in zip(twists, of))
-        text = _fmt_twist(list(zip(merged, self.symbols)))
-        return f"{kind}({text})" if text else kind
-
-    def serre_label(self, label: str, inverse: bool = False) -> str:
-        kind, twists = self.parse(label)
-        sign = 1 if inverse else -1
-        merged = tuple(
-            t + sign * f.n for t, f in zip(twists, self.space)
-        )
-        text = _fmt_twist(list(zip(merged, self.symbols)))
-        return f"{kind}({text})" if text else kind
 
 
 # --------------------------------------------------------------------------
@@ -521,8 +563,7 @@ class NetFourfold(Variety):
     name = "net_fourfold"
     dim = 4
     planes = 10
-
-    _SYMBOLS = ("g", "h")
+    serre = ("O(-g-h)", "O(g+h)")
 
     def __init__(self):
         self.ambient_ring = ring_gr24_p3()
@@ -532,7 +573,7 @@ class NetFourfold(Variety):
             for p, bundle in self._om.slots.items()
         }
         self.lattice = FormalLattice(
-            self.name, self._pair_oracle, self._serre_name
+            self.name, self._pair_oracle, self.serre_label
         )
 
     # ---- labels
@@ -549,81 +590,56 @@ class NetFourfold(Variety):
         if m:
             tw = parse_twist(m.group(2) or "", {"g", "h"})
             return ("cliff", int(m.group(1)), tw.get("g", 0), tw.get("h", 0))
-        kind, twist_text = _split_twist(label)
-        if _is_bundle_kind(kind):
+        written, twist_text = _split_twist(label)
+        kind = _bundle_kind(written)
+        if kind is not None:
             tw = parse_twist(twist_text, {"g", "h"})
             return ("bundle", kind, tw.get("g", 0), tw.get("h", 0))
         raise ValueError(f"{self.name} cannot parse label {label!r}")
 
-    def canon(self, label: str) -> str:
-        return self._format(self.parse(label))
+    def format(self, key) -> str:
+        if key[0] == "plane":
+            _, i, c = key
+            return _wrap(f"O_Pl{i}", str(c) if c else "")
+        head = f"Cliff_{key[1]}" if key[0] == "cliff" else key[1]
+        return _wrap(head, _fmt_twist([(key[2], "g"), (key[3], "h")]))
 
-    def _format(self, parsed) -> str:
-        if parsed[0] == "plane":
-            _, i, c = parsed
-            return f"O_Pl{i}({c})" if c else f"O_Pl{i}"
-        if parsed[0] == "cliff":
-            _, k, g, h = parsed
-            text = _fmt_twist([(g, "g"), (h, "h")])
-            return f"Cliff_{k}({text})" if text else f"Cliff_{k}"
-        _, kind, g, h = parsed
-        text = _fmt_twist([(g, "g"), (h, "h")])
-        return f"{kind}({text})" if text else kind
+    def is_line(self, key) -> bool:
+        return key[0] == "bundle" and key[1] == "O"
+
+    def twist(self, key, line_key):
+        _, _, dg, dh = line_key
+        if key[0] == "plane":
+            # the projective-space direction is trivial on every plane fiber
+            _, i, c = key
+            return ("plane", i, c + dg)
+        tag, kind, g, h = key
+        return (tag, kind, g + dg, h + dh)
 
     def resolve_axioms(self, label: str) -> tuple[str, ...]:
         return ("clifford_modules",) if self.parse(label)[0] == "cliff" else ()
 
     # ---- classes
 
-    def _resolve(self, parsed) -> dict[str, int]:
+    def _resolve(self, key) -> dict[str, int]:
         """Expand a parsed label into lattice-generator coefficients."""
-        if parsed[0] == "plane":
-            return {self._format(parsed): 1}
-        if parsed[0] == "bundle":
-            _, kind, g, h = parsed
-            if kind not in ("O", "V/U"):
+        if key[0] == "plane":
+            return {self.format(key): 1}
+        if key[0] == "bundle":
+            if key[1] not in ("O", "V/U"):
                 raise ValueError(
-                    f"no lattice generator for bundle kind {kind!r}"
+                    f"no lattice generator for bundle kind {key[1]!r}"
                 )
-            return {self._format(parsed): 1}
-        _, k, g, h = parsed
-        if k % 2:
-            m = (k - 1) // 2
-            return {self._format(("bundle", "V/U", g, h + m)): 1}
-        m = k // 2
-        sub = self._format(("bundle", "O", g, h + m))
-        quo = self._format(("bundle", "O", g + 1, h + m - 1))
+            return {self.format(key): 1}
+        if key[1] % 2:
+            return {self.format(self._odd_cliff_bundle(key)): 1}
+        sub, quo = (self.format(half) for half in self._cliff_halves(key))
         out = {sub: 1}
         out[quo] = out.get(quo, 0) + 1
         return out
 
     def kclass(self, label: str):
         return self.lattice.combo(self._resolve(self.parse(label)))
-
-    # ---- twists
-
-    def twist_label(self, label: str, by: str) -> str:
-        okind = self.parse(by)
-        if okind[0] != "bundle" or okind[1] != "O":
-            raise ValueError("can only twist by a line-bundle label")
-        _, _, dg, dh = okind
-        parsed = self.parse(label)
-        if parsed[0] == "plane":
-            # the projective-space direction is trivial on every plane fiber
-            _, i, c = parsed
-            return self._format(("plane", i, c + dg))
-        if parsed[0] == "cliff":
-            _, k, g, h = parsed
-            return self._format(("cliff", k, g + dg, h + dh))
-        _, kind, g, h = parsed
-        return self._format(("bundle", kind, g + dg, h + dh))
-
-    def serre_label(self, label: str, inverse: bool = False) -> str:
-        t = 1 if inverse else -1
-        return self.twist_label(label, self._format(("bundle", "O", t, t)))
-
-    def _serre_name(self, gen: str, inverse: bool) -> str:
-        return self.serre_label(gen, inverse)
 
     # ---- pairing oracle (Riemann-Roch route, independent of the staircase)
 
@@ -662,25 +678,18 @@ class NetFourfold(Variety):
 
     # ---- graded Ext
 
-    def ext(self, a: str, b: str) -> ExtAnswer:
-        return self._ext(self.parse(a), self.parse(b))
-
-    def _ext(self, pa, pb) -> ExtAnswer:
-        pa0, pb0 = pa, pb
-        extra: list[str] = []
-        if pa[0] == "cliff" and pa[1] % 2:
-            _, k, g, h = pa
-            pa = ("bundle", "V/U", g, h + (k - 1) // 2)
-            extra.append("clifford_modules")
-        if pb[0] == "cliff" and pb[1] % 2:
-            _, k, g, h = pb
-            pb = ("bundle", "V/U", g, h + (k - 1) // 2)
-            extra.append("clifford_modules")
+    def _ext(self, pa0, pb0) -> ExtAnswer:
+        pa, pb = self._odd_cliff_bundle(pa0), self._odd_cliff_bundle(pb0)
+        extra = [
+            "clifford_modules" for p, p0 in ((pa, pa0), (pb, pb0)) if p != p0
+        ]
 
         if pa[0] == "cliff":
-            ans = self._ext_from_even_cliff(pa, pb)
+            sub, quo = self._cliff_halves(pa)
+            ans = self._cliff_splice(self._ext(quo, pb), self._ext(sub, pb))
         elif pb[0] == "cliff":
-            ans = self._ext_into_even_cliff(pa, pb)
+            sub, quo = self._cliff_halves(pb)
+            ans = self._cliff_splice(self._ext(pa, sub), self._ext(pa, quo))
         elif pa[0] == "plane" and pb[0] == "plane":
             ans = self._ext_planes(pa, pb)
         elif pa[0] == "plane":
@@ -778,6 +787,14 @@ class NetFourfold(Variety):
             "same plane, different twists: no certified route",
         )
 
+    @staticmethod
+    def _odd_cliff_bundle(key):
+        """An odd Clifford sheaf as the twisted quotient bundle it is."""
+        if key[0] == "cliff" and key[1] % 2:
+            _, k, g, h = key
+            return ("bundle", "V/U", g, h + (k - 1) // 2)
+        return key
+
     def _cliff_halves(self, pcliff):
         _, k, g, h = pcliff
         m = k // 2
@@ -785,34 +802,14 @@ class NetFourfold(Variety):
         quo = ("bundle", "O", g + 1, h + m - 1)
         return sub, quo
 
-    def _ext_into_even_cliff(self, pa, pb) -> ExtAnswer:
-        sub, quo = self._cliff_halves(pb)
-        ea = self._ext(pa, sub)
-        eb = self._ext(pa, quo)
-        chi = (
-            None
-            if ea.chi is None or eb.chi is None
-            else ea.chi + eb.chi
-        )
-        axioms = ("clifford_modules",) + ea.axioms + eb.axioms
-        if ea.determinate and eb.determinate:
-            clear = all(
-                not (eb.graded.get(t, 0) and ea.graded.get(t + 1, 0))
-                for t in eb.graded
-            )
-            if clear:
-                return ExtAnswer(
-                    _merge(ea.graded, eb.graded), chi, RULE,
-                    "Clifford two-step splice", axioms,
-                )
-        return ExtAnswer(
-            None, chi, CHI_ONLY, "Clifford splice, Euler only", axioms
-        )
+    @staticmethod
+    def _cliff_splice(ea: ExtAnswer, eb: ExtAnswer) -> ExtAnswer:
+        """Splice the Ext groups of the two halves of an even Clifford sheaf.
 
-    def _ext_from_even_cliff(self, pa, pb) -> ExtAnswer:
-        sub, quo = self._cliff_halves(pa)
-        ea = self._ext(quo, pb)
-        eb = self._ext(sub, pb)
+        ``ea`` and ``eb`` are ordered as in the long exact sequence, whose
+        connecting map runs from ``eb`` in degree t to ``ea`` in degree
+        t+1; the grading is certified when every such map has a zero end.
+        """
         chi = (
             None
             if ea.chi is None or eb.chi is None
@@ -844,21 +841,25 @@ class BlownProjectiveSpace(Variety):
     ``h`` and the exceptional classes ``e1 .. eN`` (``e`` abbreviates their
     sum, ``H`` the half-anticanonical ``2h - e``), plus the exceptional-plane
     sheaves ``O_E<i>(a)``.  The class lattice is the ambient Chow lattice.
+    Keys are ``("line", h, (e1, .., eN))`` and ``("eplane", i, a)``.
     """
 
     name = "blown_p3"
     dim = 3
+    serre = ("O(-4h+2e)", "O(4h-2e)")
 
     def __init__(self, nodes: int):
         self.nodes = nodes
         self.ring = ring_blowup(nodes)
         self.lattice = AmbientLattice(self.ring, self.name)
-        self._symbols = {"h", "e", "H", "e#"}
+        self._symbols = {"h", "e", "H"} | {
+            f"e{i}" for i in range(1, nodes + 1)
+        }
 
     # ---- labels
 
     def _divisor(self, twist_text: str):
-        tw = parse_twist(twist_text, self._symbols, self.nodes)
+        tw = parse_twist(twist_text, self._symbols)
         h = tw.get("h", 0) + 2 * tw.get("H", 0)
         e = [
             tw.get(f"e{i + 1}", 0) + tw.get("e", 0) - tw.get("H", 0)
@@ -880,50 +881,36 @@ class BlownProjectiveSpace(Variety):
         h, e = self._divisor(twist_text)
         return ("line", h, e)
 
-    def _fmt_divisor(self, h: int, e) -> str:
+    def format(self, key) -> str:
+        if key[0] == "eplane":
+            _, i, a = key
+            return _wrap(f"O_E{i}", str(a) if a else "")
+        _, h, e = key
         pairs = [(h, "h")]
         if e and all(c == e[0] for c in e) and e[0]:
             pairs.append((e[0], "e"))
         else:
             pairs += [(c, f"e{i + 1}") for i, c in enumerate(e)]
-        return _fmt_twist(pairs)
+        return _wrap("O", _fmt_twist(pairs))
 
-    def canon(self, label: str) -> str:
-        parsed = self.parse(label)
-        if parsed[0] == "eplane":
-            _, i, a = parsed
-            return f"O_E{i}({a})" if a else f"O_E{i}"
-        _, h, e = parsed
-        text = self._fmt_divisor(h, e)
-        return f"O({text})" if text else "O"
+    def is_line(self, key) -> bool:
+        return key[0] == "line"
+
+    def twist(self, key, line_key):
+        _, dh, de = line_key
+        if key[0] == "eplane":
+            _, i, a = key
+            return ("eplane", i, a - de[i - 1])
+        _, h, e = key
+        return ("line", h + dh, tuple(x + y for x, y in zip(e, de)))
 
     # ---- classes
 
     def kclass(self, label: str):
-        parsed = self.parse(label)
-        if parsed[0] == "eplane":
-            return blowup_plane_ch(self.ring, parsed[1], parsed[2])
-        return blowup_line_ch(self.ring, parsed[1], parsed[2])
-
-    # ---- twists
-
-    def twist_label(self, label: str, by: str) -> str:
-        ob = self.parse(by)
-        if ob[0] != "line":
-            raise ValueError("can only twist by a line-bundle label")
-        _, dh, de = ob
-        parsed = self.parse(label)
-        if parsed[0] == "eplane":
-            _, i, a = parsed
-            a -= de[i - 1]
-            return f"O_E{i}({a})" if a else f"O_E{i}"
-        _, h, e = parsed
-        text = self._fmt_divisor(h + dh, tuple(x + y for x, y in zip(e, de)))
-        return f"O({text})" if text else "O"
-
-    def serre_label(self, label: str, inverse: bool = False) -> str:
-        by = "O(4h-2e)" if inverse else "O(-4h+2e)"
-        return self.twist_label(label, by)
+        key = self.parse(label)
+        if key[0] == "eplane":
+            return blowup_plane_ch(self.ring, key[1], key[2])
+        return blowup_line_ch(self.ring, key[1], key[2])
 
     # ---- graded Ext
 
@@ -940,8 +927,7 @@ class BlownProjectiveSpace(Variety):
             return cohomology(line((P3,), (dh,))).dims()
         return None
 
-    def ext(self, a: str, b: str) -> ExtAnswer:
-        pa, pb = self.parse(a), self.parse(b)
+    def _ext(self, pa, pb) -> ExtAnswer:
         if pa[0] == "line" and pb[0] == "line":
             dh = pb[1] - pa[1]
             de = tuple(x - y for x, y in zip(pb[2], pa[2]))
@@ -957,7 +943,11 @@ class BlownProjectiveSpace(Variety):
                 )
             return ExtAnswer(
                 None,
-                euler_pairing(self.ring, self.kclass(a), self.kclass(b)),
+                euler_pairing(
+                    self.ring,
+                    blowup_line_ch(self.ring, pa[1], pa[2]),
+                    blowup_line_ch(self.ring, pb[1], pb[2]),
+                ),
                 CHI_ONLY, "ambient Riemann-Roch Euler characteristic",
             )
         if pa[0] == "line" and pb[0] == "eplane":
@@ -968,7 +958,7 @@ class BlownProjectiveSpace(Variety):
             )
         if pa[0] == "eplane" and pb[0] == "line":
             # Ext^t(O_E(a), O(D)) = Ext^(3-t)(O(D), O_E(a-2))^dual
-            inner = self.ext(b, f"O_E{pa[1]}({pa[2] - 2})")
+            inner = self._ext(pb, ("eplane", pa[1], pa[2] - 2))
             return ExtAnswer(
                 _flip(inner.graded, self.dim), -inner.chi, RULE,
                 f"Serre duality; {inner.route}",
@@ -993,11 +983,13 @@ class CoverBlowup(Variety):
     each node contributes a contracted quadric surface carrying the sheaves
     ``O_Q<i>(a,b)``.  The lattice is formal, with one relation per node tying
     the quadric's structure sheaf to the two neighbouring line bundles, and
-    the line-line pairing doubles through the cover.
+    the line-line pairing doubles through the cover.  Line keys are the
+    base's; quadric keys are ``("quad", i, a, b)``.
     """
 
     name = "double_cover_blowup"
     dim = 3
+    serre = ("O(-H)", "O(H)")
 
     def __init__(self, nodes: int):
         self.nodes = nodes
@@ -1007,7 +999,7 @@ class CoverBlowup(Variety):
             for i in range(nodes)
         ]
         self.lattice = FormalLattice(
-            self.name, self._pair_oracle, self._serre_name,
+            self.name, self._pair_oracle, self.serre_label,
             relations=relations,
         )
 
@@ -1027,44 +1019,26 @@ class CoverBlowup(Variety):
         h, e = self.base._divisor(twist_text)
         return ("line", h, e)
 
-    def canon(self, label: str) -> str:
-        parsed = self.parse(label)
-        if parsed[0] == "quad":
-            _, i, a, b = parsed
-            return f"O_Q{i}({a},{b})" if (a or b) else f"O_Q{i}"
-        _, h, e = parsed
-        text = self.base._fmt_divisor(h, e)
-        return f"O({text})" if text else "O"
+    def format(self, key) -> str:
+        if key[0] == "quad":
+            _, i, a, b = key
+            return _wrap(f"O_Q{i}", f"{a},{b}" if (a or b) else "")
+        return self.base.format(key)
+
+    def is_line(self, key) -> bool:
+        return key[0] == "line"
+
+    def twist(self, key, line_key):
+        if key[0] == "quad":
+            _, i, a, b = key
+            t = line_key[2][i - 1]
+            return ("quad", i, a - t, b - t)
+        return self.base.twist(key, line_key)
 
     # ---- classes
 
     def kclass(self, label: str):
         return self.lattice.combo({self.canon(label): 1})
-
-    # ---- twists
-
-    def twist_label(self, label: str, by: str) -> str:
-        ob = self.parse(by)
-        if ob[0] != "line":
-            raise ValueError("can only twist by a line-bundle label")
-        _, dh, de = ob
-        parsed = self.parse(label)
-        if parsed[0] == "quad":
-            _, i, a, b = parsed
-            t = de[i - 1]
-            return self.canon(f"O_Q{i}({a - t},{b - t})")
-        _, h, e = parsed
-        text = self.base._fmt_divisor(
-            h + dh, tuple(x + y for x, y in zip(e, de))
-        )
-        return f"O({text})" if text else "O"
-
-    def serre_label(self, label: str, inverse: bool = False) -> str:
-        by = "O(H)" if inverse else "O(-H)"
-        return self.twist_label(label, by)
-
-    def _serre_name(self, gen: str, inverse: bool) -> str:
-        return self.serre_label(gen, inverse)
 
     # ---- pairing oracle
 
@@ -1082,8 +1056,7 @@ class CoverBlowup(Variety):
         down = blowup_line_ch(ring, dh - 2, tuple(c + 1 for c in de))
         return ring_chi(ring, top) + ring_chi(ring, down)
 
-    def ext(self, a: str, b: str) -> ExtAnswer:
-        pa, pb = self.parse(a), self.parse(b)
+    def _ext(self, pa, pb) -> ExtAnswer:
         if pa[0] == "line" and pb[0] == "line":
             dh = pb[1] - pa[1]
             de = tuple(x - y for x, y in zip(pb[2], pa[2]))
@@ -1498,19 +1471,12 @@ def line_euler_by_peeling(base, dh: int, de) -> int:
 
 def _negate_line_label(variety: Variety, label: str) -> str:
     """The label of the inverse line bundle."""
-    parsed = variety.parse(label)
-    if isinstance(variety, HomogeneousVariety):
-        kind, twists = parsed
-        if kind != "O":
-            raise ValueError("expected a line-bundle label")
-        text = _fmt_twist(
-            [(-t, s) for t, s in zip(twists, variety.symbols)]
-        )
-        return f"O({text})" if text else "O"
-    if parsed[0] == "line":
-        _, h, e = parsed
-        text = variety._fmt_divisor(-h, tuple(-c for c in e))
-        return f"O({text})" if text else "O"
+    key = variety.parse(label)
+    if isinstance(variety, HomogeneousVariety) and key[0] == "O":
+        return variety.format(("O", tuple(-t for t in key[1])))
+    if key[0] == "line":
+        _, h, e = key
+        return variety.format(("line", -h, tuple(-c for c in e)))
     raise ValueError("expected a line-bundle label")
 
 

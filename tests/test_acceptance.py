@@ -8,6 +8,7 @@ CRITERION verdict lines and timings.
 
 import random
 import time
+from pathlib import Path
 
 from sodcheck.bbw import GR23, GR24, P3, cohomology, irr, line
 from sodcheck.chow import (
@@ -268,6 +269,12 @@ EXPECTED_IMPORTS = {
     "cover-blowup-reorder": {"orlov_blowup_sod"},
 }
 
+#: the recorded ``verify-all`` stdout
+VERIFY_ALL = (
+    Path(__file__).resolve().parents[1] / "bench" / "expected"
+    / "verify_all.txt"
+)
+
 
 def test_criterion_5_scenario_replays(capsys):
     t0 = time.perf_counter()
@@ -287,12 +294,13 @@ def test_criterion_5_scenario_replays(capsys):
         if not res.axioms_used <= sc.allowed:
             ok = False
     code = cli_main(["verify-all"])
-    capsys.readouterr()  # fold the verify-all table into the capture
-    if code != 0:
+    table = capsys.readouterr().out
+    # the verify-all table is the recorded one, byte for byte
+    if code != 0 or table != VERIFY_ALL.read_text():
         ok = False
     with capsys.disabled():
         verdict(5, ok, f"{len(results)} replays exact class-by-class and "
-                "verify-all exits 0", t0, limit=60.0)
+                "verify-all prints the recorded table", t0, limit=60.0)
 
 
 # 6 -------------------------------------------------------------------------

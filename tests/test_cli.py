@@ -114,6 +114,32 @@ def test_nodes_past_the_blowup_limit_is_an_input_error(tmp_path, capsys):
     assert "0 to 11 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", ["blown_p3", "double_cover_blowup"])
+def test_leading_zero_exceptional_index_is_an_input_error(capsys, space):
+    code = main(["chi", space, "O(-e01)"])
+    assert code == 2
+    assert "unknown twist symbol 'e01'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_scenario_nodes_must_be_a_positive_integer(tmp_path, capsys, value):
+    path = tmp_path / "nodes.sod"
+    path.write_text(
+        "scenario nodes\n"
+        "variety blown_p3\n"
+        f"nodes {value}\n"
+        "initial:\n"
+        "  family exc: O_E{i}\n"
+        "expect:\n"
+        "  family exc: O_E{i}\n"
+    )
+    code = main(["replay", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: nodes must be a positive integer, got '{value}'\n"
+    )
+
+
 def test_mutate_and_gram(capsys):
     code, out = run(capsys, "mutate", "P3", "left", "O", "O(h)")
     assert code == 0

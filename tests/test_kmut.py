@@ -1,17 +1,15 @@
 """Smith normal form, relation membership, lattices, and mutations."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from sodcheck.bbw import GR24, P3, irr, line
-from sodcheck.chow import ch_bundle, ring_blowup, ring_gr24, ring_p3
+from sodcheck.chow import ch_bundle, ring_gr24, ring_p3
 from sodcheck.kmut import (
     AmbientLattice,
     FormalLattice,
     gram,
-    integer_coordinates,
     is_exceptional,
     is_unitriangular,
     mat_det,
@@ -406,29 +404,3 @@ def test_formal_serre_names():
     with pytest.raises(LookupError):
         bare.serre(bare.cls("a"))
 
-
-# --------------------------------------------------------------------------
-# integer coordinates against an exceptional basis
-
-def test_integer_coordinates_roundtrip():
-    basis = [p3_line(t) for t in range(4)]
-    vecs = [c.coeffs for c in basis]
-    rng = random.Random(18)
-    for _ in range(40):
-        xs = [rng.randint(-5, 5) for _ in range(4)]
-        target = RING_P3.zero()
-        for x, c in zip(xs, basis):
-            target = target + c.scale(x)
-        assert integer_coordinates(vecs, target.coeffs) == xs
-
-
-def test_integer_coordinates_rejects_non_integral_and_outside():
-    basis = [p3_line(t) for t in range(4)]
-    vecs = [c.coeffs for c in basis]
-    half = p3_line(0).scale(Fraction(1, 2))
-    assert integer_coordinates(vecs, half.coeffs) is None
-    # blow-up ring: twists of O(h) never reach an exceptional-divisor class
-    ring = ring_blowup(2)
-    lines = [ring.monomial("h", t).exp() for t in (0, 1, 2)]
-    e_class = ring.monomial("e1", 1)
-    assert integer_coordinates([c.coeffs for c in lines], e_class.coeffs) is None

@@ -2,14 +2,19 @@
 
 Covers the scenario grammar, step semantics (wrap-around translation,
 orthogonal swaps, mutations, relabelling, block insertion), evidence
-soundness of the transcripts, determinism, and the four bundled
-walkthroughs with their frozen final states and import sets.
+soundness of the transcripts, determinism against the recorded transcript
+digests, and the four bundled walkthroughs with their frozen final states
+and import sets.
 """
 
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import pytest
 
+from sodcheck.cli import main
 from sodcheck.replay import (
     SCENARIOS,
     Block,
@@ -21,6 +26,13 @@ from sodcheck.replay import (
     run_all,
     run_scenario,
 )
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def flat_state(state):
@@ -127,12 +139,23 @@ def test_axioms_stay_within_each_allowance():
         assert res.axioms_used <= sc.allowed, name
 
 
-def test_transcripts_are_deterministic():
+def test_transcripts_are_deterministic(capsys):
+    """Two runs give one transcript, and its stdout is the recorded one.
+
+    ``bench/expected/scenarios.json`` holds the sha256 of the ``replay``
+    and ``--json replay`` stdout of every bundled scenario.
+    """
+    recorded = json.loads((EXPECTED / "scenarios.json").read_text())
+    assert sorted(recorded) == sorted(SCENARIOS)
     for name in SCENARIOS:
-        first = run_scenario(name).text()
-        second = run_scenario(name).text()
-        assert first == second, name
-        assert first.endswith(f"scenario {name}: PASS")
+        assert main(["replay", name]) == 0
+        text = capsys.readouterr().out
+        assert main(["--json", "replay", name]) == 0
+        as_json = capsys.readouterr().out
+        assert "\n".join(json.loads(as_json)["transcript"]) + "\n" == text
+        assert text.endswith(f"scenario {name}: PASS\n")
+        assert _sha256(text) == recorded[name]["text"], name
+        assert _sha256(as_json) == recorded[name]["json"], name
 
 
 EVIDENCE = re.compile(r"Ext\(.*\) = .* \[(\w[\w-]*)\] chi (-?\d+) "

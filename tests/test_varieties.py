@@ -183,9 +183,23 @@ def test_fourfold_label_algebra():
     assert M.canon("O(h-g)") == "O(-g+h)"
     assert M.serre_label("O(-h)") == "O(-g-2h)"
     assert M.twist_label("Cliff_0(-g)", "O(g)") == "Cliff_0"
-    assert M.twist_label("O(-h)", "O(g)") == "O(g-h)" or (
-        M.canon(M.twist_label("O(-h)", "O(g)")) == "O(g-h)"
-    )
+    assert M.twist_label("O(-h)", "O(g)") == "O(g-h)"
+    # the projective-space direction is trivial on a plane fiber
+    assert M.twist_label("O_Pl2(-1)", "O(g+3h)") == "O_Pl2"
+    assert M.serre_label("O_Pl2") == "O_Pl2(-1)"
+    with pytest.raises(ValueError, match="line-bundle label"):
+        M.twist_label("O", "V/U")
+
+
+def test_homogeneous_serre_twist_is_the_canonical_bundle():
+    for name, omega, inverse in [
+        ("P3", "O(-4h)", "O(4h)"), ("Gr23", "O(-3g)", "O(3g)"),
+        ("Gr24", "O(-4g)", "O(4g)"), ("Gr24xP3", "O(-4g-4h)", "O(4g+4h)"),
+    ]:
+        v = get_variety(name)
+        assert v.serre_label("O") == omega
+        assert v.serre_label("O", inverse=True) == inverse
+        assert v.kclass(omega) == v.ring.canonical_ch
 
 
 def test_fourfold_serre_pairing_symmetry():
@@ -194,6 +208,17 @@ def test_fourfold_serre_pairing_symmetry():
         for b in labels:
             # chi(A, B) == chi(B, A x omega) on a fourfold
             assert M.chi(a, b) == M.chi(b, M.serre_label(a))
+
+
+@pytest.mark.parametrize("written, canon", [
+    ("S1U", "U"), ("S1Uv(g)", "Uv(g)"), ("S0U", "O"), ("S0Uv(-g)", "O(-g)"),
+    ("S02U", "S2U"), ("S003Uv(2g)", "S3Uv(2g)"), ("S2U", "S2U"),
+])
+def test_symmetric_power_kinds_have_one_written_form(written, canon):
+    gr = get_variety("Gr24")
+    assert gr.canon(written) == canon
+    assert M.canon(written) == canon
+    assert gr.parse(written) == gr.parse(canon)
 
 
 # ----------------------------------------------------- blown projective 3-space
