@@ -2,9 +2,18 @@
 
 Each ring is a finite free Z-module with a fixed basis of cycle classes, a
 sparse multiplication table, and a degree functional on the top codimension.
-Coefficients are `fractions.Fraction` throughout -- Chern characters and Todd
-classes are honestly rational -- and every Euler characteristic is asserted
-to come out an integer, which is a real consistency check of the tables.
+Classes carry `fractions.Fraction` coefficients -- Chern characters and Todd
+classes are honestly rational.
+
+Euler characteristics go through one core: Hirzebruch-Riemann-Roch as a
+bilinear form on A(X)_Q (Fulton, Intersection Theory, Sec. 15).  For a
+weight class w (1 for plain chi) a ring builds, on first use, the linear
+form T_k = deg(b_k . w . td) and the pairing matrix
+P_ij = sum_m mul(i, j)[m] T_m, both as integers over one denominator, and
+caches them.  chi(x) is T.x and chi(a, b) is sum (-1)^codim(i) a_i P_ij b_j,
+evaluated on each class's integer numerators over their lcm.  The final
+rational is asserted to be an integer (`IntegralityError` otherwise), which
+is a real consistency check of the tables.
 
 Two kinds of rings are provided:
 
@@ -16,8 +25,8 @@ Two kinds of rings are provided:
   Schur functor (Fulton-Harris, Representation Theory, App. A; Macdonald,
   Symmetric Functions and Hall Polynomials, I.2-I.3);
 * the blowup of projective 3-space in N points, with exceptional divisor
-  square classes and the pushforward characters of sheaves on the
-  exceptional planes.
+  square classes, line-bundle characters in closed form and the pushforward
+  characters of sheaves on the exceptional planes.
 
 The Grassmannian multiplication tables are generated from the Pieri rule at
 build time; the test suite freezes the resulting values.
@@ -26,6 +35,7 @@ build time; the test suite freezes the resulting values.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,7 +51,9 @@ class ChowClass:
 
     def __init__(self, ring: "ChowRing", coeffs: Sequence[Frac]):
         self.ring = ring
-        self.coeffs = tuple(Frac(c) for c in coeffs)
+        self.coeffs = tuple(
+            c if type(c) is Frac else Frac(c) for c in coeffs
+        )
         if len(self.coeffs) != len(ring.basis):
             raise ValueError("coefficient vector does not match the basis")
 
@@ -177,6 +189,7 @@ class ChowRing:
         self.todd: ChowClass | None = None
         self.canonical_ch: ChowClass | None = None
         self._ch_cache: dict = {}
+        self._forms: dict = {}  # weight coefficients -> PairingForm
 
     def mul_basis(self, i: int, j: int) -> dict[int, Frac]:
         if i > j:
@@ -616,12 +629,25 @@ def ring_blowup(n: int) -> ChowRing:
 
 
 def blowup_line_ch(ring: ChowRing, h_coeff: int, e_coeffs) -> ChowClass:
-    """ch O(b h + sum c_i e_i) on the blowup ring."""
-    div = ring.monomial("h", h_coeff)
+    """ch O(D) for D = b h + sum c_i e_i on the blowup ring, in closed form.
+
+    Since h.e_i = 0 and e_i.e_j = 0 (i != j), D^2 = b^2 h^2 + sum c_i^2 e_i^2
+    and D^3 = (b^3 + sum c_i^3) pt, so
+    ch = 1 + D + (b^2 h^2 + sum c_i^2 e_i^2)/2 + (b^3 + sum c_i^3) pt/6.
+    """
+    vec = [Frac(0)] * len(ring.basis)
+    idx = ring.index
+    vec[idx["1"]] = Frac(1)
+    vec[idx["h"]] = Frac(h_coeff)
+    vec[idx["h2"]] = Frac(h_coeff * h_coeff, 2)
+    cubes = h_coeff ** 3
     for i, c in enumerate(e_coeffs, start=1):
         if c:
-            div = div + ring.monomial(f"e{i}", c)
-    return div.exp()
+            vec[idx[f"e{i}"]] = Frac(c)
+            vec[idx[f"e{i}2"]] = Frac(c * c, 2)
+            cubes += c ** 3
+    vec[idx["pt"]] = Frac(cubes, 6)
+    return ChowClass(ring, vec)
 
 
 def blowup_plane_ch(ring: ChowRing, i: int, j: int) -> ChowClass:
@@ -642,17 +668,99 @@ def blowup_plane_ch(ring: ChowRing, i: int, j: int) -> ChowClass:
 # --------------------------------------------------------------------------
 # pairings
 
-def chi(ring: ChowRing, ch: ChowClass) -> int:
-    """Euler characteristic of a K-class given by its Chern character."""
-    val = (ch * ring.todd).degree()
-    if val.denominator != 1:
-        raise ArithmeticError(
-            f"non-integral Euler characteristic {val} in {ring.name}; "
-            "the ring data and the character disagree"
+class IntegralityError(ArithmeticError):
+    """A non-integral Euler characteristic: the ring data (multiplication
+    table, degree functional, Todd class) and the character disagree.  An
+    internal fault, never an input error."""
+
+
+def _numerators(cls: ChowClass) -> tuple[list[int], int]:
+    """Integer numerators of a class's coefficients over their lcm."""
+    den = math.lcm(*(c.denominator for c in cls.coeffs))
+    return [c.numerator * (den // c.denominator) for c in cls.coeffs], den
+
+
+class PairingForm:
+    """Riemann-Roch against one weight class w as integer forms.
+
+    ``linear[k]`` is D T_k with T_k = deg(b_k . w . td), and ``rows[i]``
+    holds the nonzero D (-1)^codim(i) P_ij with P_ij = sum_m mul(i, j)[m] T_m,
+    all over the one denominator ``den`` = D.
+    """
+
+    __slots__ = ("ring", "den", "linear", "rows")
+
+    def __init__(self, ring: ChowRing, weight: ChowClass | None):
+        wtd = ring.todd if weight is None else weight * ring.todd
+        size = len(ring.basis)
+        top = [
+            sum(
+                wtd.coeffs[m] * c * ring.deg[k]
+                for m in range(size)
+                for k, c in ring.mul_basis(i, m).items()
+            )
+            for i in range(size)
+        ]
+        mat = [
+            [sum(c * top[m] for m, c in ring.mul_basis(i, j).items())
+             for j in range(size)]
+            for i in range(size)
+        ]
+        den = math.lcm(
+            *(x.denominator for x in top),
+            *(x.denominator for row in mat for x in row),
         )
-    return int(val)
+        self.ring = ring
+        self.den = den
+        self.linear = [int(x * den) for x in top]
+        self.rows = [
+            [(j, int(x * den) * (-1) ** ring.codim[i])
+             for j, x in enumerate(row) if x]
+            for i, row in enumerate(mat)
+        ]
+
+    def _integer(self, num: int, den: int) -> int:
+        val, rest = divmod(num, den)
+        if rest:
+            raise IntegralityError(
+                f"non-integral Euler characteristic {Frac(num, den)} in "
+                f"{self.ring.name}; the ring data and the character disagree"
+            )
+        return val
+
+    def chi(self, x: ChowClass) -> int:
+        nums, den = _numerators(x)
+        total = sum(t * n for t, n in zip(self.linear, nums) if n)
+        return self._integer(total, den * self.den)
+
+    def pair(self, a: ChowClass, b: ChowClass) -> int:
+        na, da = _numerators(a)
+        nb, db = _numerators(b)
+        total = 0
+        for x, row in zip(na, self.rows):
+            if x:
+                total += x * sum(p * nb[j] for j, p in row)
+        return self._integer(total, da * db * self.den)
 
 
-def euler_pairing(ring: ChowRing, a: ChowClass, b: ChowClass) -> int:
-    """chi(A, B) = integral of ch(A)-dual . ch(B) . td."""
-    return chi(ring, a.dual() * b)
+def _form(ring: ChowRing, weight: ChowClass | None) -> PairingForm:
+    """The ring's Riemann-Roch form against ``weight`` (None for 1), built on
+    first use and cached on the ring."""
+    key = None if weight is None else weight.coeffs
+    form = ring._forms.get(key)
+    if form is None:
+        form = ring._forms[key] = PairingForm(ring, weight)
+    return form
+
+
+def chi(ring: ChowRing, ch: ChowClass, weight: ChowClass | None = None) -> int:
+    """Euler characteristic deg(ch . w . td) of a K-class given by its
+    Chern character, against the weight w (1 when omitted)."""
+    return _form(ring, weight).chi(ch)
+
+
+def euler_pairing(ring: ChowRing, a: ChowClass, b: ChowClass,
+                  weight: ChowClass | None = None) -> int:
+    """chi(A, B) = integral of ch(A)-dual . ch(B) . w . td (w = 1 when
+    omitted)."""
+    return _form(ring, weight).pair(a, b)

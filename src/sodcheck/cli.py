@@ -1,7 +1,9 @@
 """Command-line front end: cohomology queries, pairings, mutations, and
 scenario replays against the built-in variety catalog.
 
-Exit codes: 0 all checks pass, 1 a check fails, 2 malformed input.
+Exit codes: 0 all checks pass, 1 a check fails, 2 malformed input, 3 an
+internal fault (a non-integral Euler characteristic: the ring data is
+inconsistent, which no input can cause).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 from . import replay as replay_mod
 from .bbw import GR24, P3, irr, line
-from .chow import ch_bundle, ring_gr24, ring_p3
+from .chow import IntegralityError, ch_bundle, ring_gr24, ring_p3
 from .kmut import (
     AmbientLattice,
     FormalClass,
@@ -447,6 +449,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except IntegralityError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except (ValueError, LookupError, ArithmeticError, OSError,
             replay_mod.ReplayError) as err:
         return _fail(str(err))

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from .chow import euler_pairing
+
 
 # --------------------------------------------------------------------------
 # integer matrices / Smith normal form
@@ -214,8 +216,6 @@ class AmbientLattice:
         self.name = name or ring.name
 
     def pair(self, a, b) -> int:
-        from .chow import euler_pairing
-
         return euler_pairing(self.ring, a, b)
 
     def eq(self, a, b) -> bool:

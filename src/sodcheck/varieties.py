@@ -504,6 +504,7 @@ class HomogeneousVariety(Variety):
         self.grass_kinds = grass_kinds
         self.dim = sum(f.dim for f in self.space)
         self.lattice = AmbientLattice(ring, name)
+        self._classes: dict = {}
         self.serre = tuple(
             self.format(("O", tuple(sign * f.n for f in self.space)))
             for sign in (-1, 1)
@@ -538,7 +539,10 @@ class HomogeneousVariety(Variety):
         return b.twist(twists) if any(twists) else b
 
     def kclass(self, label: str):
-        return ch_bundle(self.ring, self._bundle(self.parse(label)))
+        key = self.parse(label)
+        if key not in self._classes:  # classes are immutable, so shared
+            self._classes[key] = ch_bundle(self.ring, self._bundle(key))
+        return self._classes[key]
 
     def _ext(self, pa, pb) -> ExtAnswer:
         res = cohomology(self._bundle(pa).dual().tensor(self._bundle(pb)))
@@ -568,10 +572,13 @@ class NetFourfold(Variety):
     def __init__(self):
         self.ambient_ring = ring_gr24_p3()
         self._om = fourfold_structure_complex()
-        self._om_ch = {
-            p: ch_bundle(self.ambient_ring, bundle)
-            for p, bundle in self._om.slots.items()
-        }
+        # the Koszul weight sum_p (-1)^p ch(slot_p): chi on the fourfold of
+        # pulled-back bundles is the ambient pairing against it
+        self._om_weight = self.ambient_ring.zero()
+        for p, bundle in self._om.slots.items():
+            slot = ch_bundle(self.ambient_ring, bundle)
+            self._om_weight += -slot if p % 2 else slot
+        self._ambient_chs: dict = {}
         self.lattice = FormalLattice(
             self.name, self._pair_oracle, self.serre_label
         )
@@ -643,21 +650,26 @@ class NetFourfold(Variety):
 
     # ---- pairing oracle (Riemann-Roch route, independent of the staircase)
 
-    def _ambient_chi(self, bundle_a, bundle_b) -> int:
-        """chi of two pulled-back bundles via the ambient Euler sum."""
-        cha = ch_bundle(self.ambient_ring, bundle_a)
-        chb = ch_bundle(self.ambient_ring, bundle_b)
-        total = 0
-        for p, slot_ch in self._om_ch.items():
-            total += (-1) ** p * euler_pairing(
-                self.ambient_ring, cha, slot_ch * chb
+    def _ambient_ch(self, key):
+        """ch of a pulled-back bundle on the ambient product, memoised."""
+        if key not in self._ambient_chs:
+            self._ambient_chs[key] = ch_bundle(
+                self.ambient_ring, self._bundle(key)
             )
-        return total
+        return self._ambient_chs[key]
+
+    def _ambient_chi(self, pa, pb) -> int:
+        """chi of two pulled-back bundles: one ambient pairing against
+        the Koszul weight."""
+        return euler_pairing(
+            self.ambient_ring, self._ambient_ch(pa), self._ambient_ch(pb),
+            weight=self._om_weight,
+        )
 
     def _pair_oracle(self, ga: str, gb: str):
         pa, pb = self.parse(ga), self.parse(gb)
         if pa[0] == "bundle" and pb[0] == "bundle":
-            return self._ambient_chi(self._bundle(pa), self._bundle(pb))
+            return self._ambient_chi(pa, pb)
         if pa[0] == "plane" and pb[0] == "plane":
             if pa[1] != pb[1]:
                 return 0
@@ -852,6 +864,7 @@ class BlownProjectiveSpace(Variety):
         self.nodes = nodes
         self.ring = ring_blowup(nodes)
         self.lattice = AmbientLattice(self.ring, self.name)
+        self._classes: dict = {}
         self._symbols = {"h", "e", "H"} | {
             f"e{i}" for i in range(1, nodes + 1)
         }
@@ -907,10 +920,13 @@ class BlownProjectiveSpace(Variety):
     # ---- classes
 
     def kclass(self, label: str):
-        key = self.parse(label)
-        if key[0] == "eplane":
-            return blowup_plane_ch(self.ring, key[1], key[2])
-        return blowup_line_ch(self.ring, key[1], key[2])
+        return self._class(self.parse(label))
+
+    def _class(self, key):
+        if key not in self._classes:  # classes are immutable, so shared
+            make = blowup_plane_ch if key[0] == "eplane" else blowup_line_ch
+            self._classes[key] = make(self.ring, key[1], key[2])
+        return self._classes[key]
 
     # ---- graded Ext
 
@@ -943,11 +959,7 @@ class BlownProjectiveSpace(Variety):
                 )
             return ExtAnswer(
                 None,
-                euler_pairing(
-                    self.ring,
-                    blowup_line_ch(self.ring, pa[1], pa[2]),
-                    blowup_line_ch(self.ring, pb[1], pb[2]),
-                ),
+                euler_pairing(self.ring, self._class(pa), self._class(pb)),
                 CHI_ONLY, "ambient Riemann-Roch Euler characteristic",
             )
         if pa[0] == "line" and pb[0] == "eplane":
@@ -1051,10 +1063,9 @@ class CoverBlowup(Variety):
     def _line_line_chi(self, pa, pb) -> int:
         dh = pb[1] - pa[1]
         de = tuple(x - y for x, y in zip(pb[2], pa[2]))
-        ring = self.base.ring
-        top = blowup_line_ch(ring, dh, de)
-        down = blowup_line_ch(ring, dh - 2, tuple(c + 1 for c in de))
-        return ring_chi(ring, top) + ring_chi(ring, down)
+        top = self.base._class(("line", dh, de))
+        down = self.base._class(("line", dh - 2, tuple(c + 1 for c in de)))
+        return ring_chi(self.base.ring, top) + ring_chi(self.base.ring, down)
 
     def _ext(self, pa, pb) -> ExtAnswer:
         if pa[0] == "line" and pb[0] == "line":
@@ -1511,7 +1522,6 @@ def projection_shadow_report() -> ShadowReport:
     """
     fourfold = get_variety("net_fourfold")
     gr_ring = ring_gr24()
-    om_ch = fourfold._om_ch
     amb = fourfold.ambient_ring
 
     schur = [
@@ -1530,9 +1540,8 @@ def projection_shadow_report() -> ShadowReport:
         twisted = T_amb.twist((0, 1))  # T x O(h)
 
         # fourfold side, Riemann-Roch
-        lhs = sum(
-            (-1) ** p * ring_chi(amb, om_ch[p] * ch_bundle(amb, twisted))
-            for p in om_ch
+        lhs = ring_chi(
+            amb, ch_bundle(amb, twisted), weight=fourfold._om_weight
         )
         # fourfold side, staircase
         lhs_bbw = staircase_euler(

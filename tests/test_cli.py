@@ -216,3 +216,23 @@ def test_replay_passing_file_exits_zero(tmp_path, capsys):
     code, out = run(capsys, "replay", str(path))
     assert code == 0
     assert out.rstrip().endswith("scenario tiny: PASS")
+
+
+def test_integrality_failure_is_an_internal_error(capsys, monkeypatch):
+    # a fresh P3 ring whose Todd class is off by half a point, swapped in
+    # before its first pairing (forms are cached on the ring)
+    from fractions import Fraction
+
+    from sodcheck import chow, varieties
+
+    monkeypatch.setattr(chow, "_CACHE", {})
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    ring = chow.ring_p3()
+    ring.todd = ring.todd + ring.monomial("h3", Fraction(1, 2))
+    code = main(["chi", "P3", "O(h)"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: non-integral Euler characteristic"
+    )

@@ -1,0 +1,188 @@
+"""The Riemann-Roch pairing core against the textbook formula.
+
+``chi`` and ``euler_pairing`` evaluate integer forms built once per ring and
+weight.  Here they are compared with deg(a . td) and deg(a-dual . b . td)
+taken by plain ring products, on integer combinations of genuine characters
+(bundles on the homogeneous rings; line bundles and exceptional-plane
+sheaves on the blowups), together with bilinearity, Serre duality, the
+closed-form blowup line characters, the fourfold's single Koszul-weight
+form and the integrality guard on every route.  Property runs are
+derandomized, so the suite stays deterministic.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sodcheck.bbw import irr
+from sodcheck.chow import (
+    IntegralityError,
+    blowup_line_ch,
+    blowup_plane_ch,
+    ch_bundle,
+    chi,
+    euler_pairing,
+    ring_blowup,
+    ring_gr23,
+    ring_gr24,
+    ring_gr24_p3,
+    ring_p3,
+)
+from sodcheck.varieties import get_variety
+
+BLOWUP_POINTS = (0, 1, 5, 10, 11)
+
+RINGS = {
+    "P3": ring_p3,
+    "Gr23": ring_gr23,
+    "Gr24": ring_gr24,
+    "Gr24xP3": ring_gr24_p3,
+    **{f"BlP3[{n}]": (lambda n=n: ring_blowup(n)) for n in BLOWUP_POINTS},
+}
+
+PROPERTY = settings(
+    derandomize=True, database=None, deadline=None, max_examples=15
+)
+
+
+def reference_chi(ring, x):
+    return (x * ring.todd).degree()
+
+
+def reference_pairing(ring, a, b):
+    return ((a.dual() * b) * ring.todd).degree()
+
+
+def _weight(size):
+    return st.lists(st.integers(-2, 2), min_size=size, max_size=size).map(
+        lambda w: tuple(sorted(w, reverse=True))
+    )
+
+
+def _generator(draw, ring):
+    """A genuine character: a random irreducible bundle on a homogeneous
+    ring, a line bundle or an exceptional-plane sheaf on a blowup."""
+    if ring.factors:
+        pairs = [
+            (draw(_weight(f.k)), draw(_weight(f.n - f.k)))
+            for f in ring.factors
+        ]
+        return ch_bundle(ring, irr(ring.factors, pairs))
+    n = (len(ring.basis) - 4) // 2
+    if n and draw(st.booleans()):
+        return blowup_plane_ch(
+            ring, draw(st.integers(1, n)), draw(st.integers(-3, 3))
+        )
+    return blowup_line_ch(
+        ring,
+        draw(st.integers(-3, 3)),
+        draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+    )
+
+
+def _combination(draw, ring):
+    total = ring.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        total = total + _generator(draw, ring).scale(draw(st.integers(-3, 3)))
+    return total
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+@PROPERTY
+@given(data=st.data())
+def test_core_matches_textbook_formula(name, data):
+    ring = RINGS[name]()
+    a, b, c = (_combination(data.draw, ring) for _ in range(3))
+    k = data.draw(st.integers(-3, 3))
+    ab = euler_pairing(ring, a, b)
+    assert chi(ring, a) == reference_chi(ring, a)
+    assert ab == reference_pairing(ring, a, b)
+    # bilinear in both arguments
+    assert euler_pairing(ring, a.scale(k) + c, b) == (
+        k * ab + euler_pairing(ring, c, b)
+    )
+    assert euler_pairing(ring, a, b.scale(k) + c) == (
+        k * ab + euler_pairing(ring, a, c)
+    )
+    # Serre duality
+    assert ab == (-1) ** ring.dim * euler_pairing(
+        ring, b, a * ring.canonical_ch
+    )
+
+
+# ------------------------------------------------- closed-form characters
+
+def _exp_series(div):
+    """exp of a divisor on a threefold, by ring products."""
+    square = div * div
+    return (div.ring.one() + div + square.scale(F(1, 2))
+            + (square * div).scale(F(1, 6)))
+
+
+def test_blowup_line_ch_closed_form_matches_exp():
+    rng = random.Random(1500)
+    checked = 0
+    for n in BLOWUP_POINTS:
+        ring = ring_blowup(n)
+        for _ in range(70):
+            b = rng.randint(-6, 6)
+            cs = [rng.randint(-6, 6) for _ in range(n)]
+            div = ring.monomial("h", b)
+            for i, c in enumerate(cs, start=1):
+                div = div + ring.monomial(f"e{i}", c)
+            assert blowup_line_ch(ring, b, cs) == _exp_series(div)
+            checked += 1
+    assert checked == 350
+
+
+def test_fourfold_form_matches_slot_sum():
+    # one pairing against sum_p (-1)^p ch(slot_p) equals the Koszul sum of
+    # one ambient pairing per slot
+    four = get_variety("net_fourfold")
+    amb = four.ambient_ring
+    slots = {p: ch_bundle(amb, b) for p, b in four._om.slots.items()}
+    keys = [
+        ("bundle", kind, g, h)
+        for kind in ("O", "V/U")
+        for g in range(-2, 3)
+        for h in range(-2, 3)
+    ]
+    chs = [ch_bundle(amb, four._bundle(key)) for key in keys]
+    shifted = [{p: s * y for p, s in slots.items()} for y in chs]
+    for ka, x in zip(keys, chs):
+        for kb, sy in zip(keys, shifted):
+            want = sum(
+                (-1) ** p * euler_pairing(amb, x, s) for p, s in sy.items()
+            )
+            assert four._ambient_chi(ka, kb) == want
+
+
+# ------------------------------------------------------ integrality guard
+
+@pytest.mark.parametrize("make,point", [
+    (ring_gr24_p3, "s22|h3"),
+    (lambda: ring_blowup(10), "pt"),
+])
+def test_integrality_guard_on_every_route(make, point):
+    ring = make()
+    half = ring.monomial(point, F(1, 2))
+    with pytest.raises(IntegralityError):
+        chi(ring, half)
+    with pytest.raises(IntegralityError):
+        euler_pairing(ring, ring.one(), half)
+    with pytest.raises(IntegralityError):
+        euler_pairing(ring, half, ring.one())
+
+
+def test_integrality_guard_on_the_fourfold_form():
+    # chi(O) = 1 on the fourfold, so half the structure sheaf is not integral
+    four = get_variety("net_fourfold")
+    amb, weight = four.ambient_ring, four._om_weight
+    half = amb.one().scale(F(1, 2))
+    assert chi(amb, amb.one(), weight=weight) == 1
+    with pytest.raises(IntegralityError):
+        chi(amb, half, weight=weight)
+    with pytest.raises(IntegralityError):
+        euler_pairing(amb, amb.one(), half, weight=weight)
