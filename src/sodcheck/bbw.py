@@ -31,13 +31,24 @@ Example conventions for a factor Gr(2, n): O(t) is sub-weight (t, t);
 U = sub (0, -1); U-dual = sub (1, 0); S^2 U = sub (0, -2); Q-dual = quot
 (1, 0).  On the projective-space factor Gr(1, 4), O(t) is sub-weight (t,).
 Everything is exact integer arithmetic.
+
+Weights are validated once, where they enter: ``irr`` and ``line`` go
+through ``_pair``, which converts with ``int()`` and rejects a wrong rank or
+a non-dominant weight.  Every weight the engine derives from those (duals,
+twists, tensor summands, Bott results) is built by the trusted
+``Weight._of``.  The two per-factor kernels are pure functions of immutable
+arguments and are memoised in bounded ``lru_cache``s: ``bott_factor`` on
+(factor, sub, quot) and ``_tensor_weights`` on (rank, a, b), which returns a
+tuple so that a cached value cannot be mutated.  Bundles, complexes and
+answers are not memoised here.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .gl_weights import Weight, dualize, tensor_rank2, weyl_dim
+from .gl_weights import KERNEL_CACHE, Weight, dualize, tensor_rank2, weyl_dim
 
 
 class HomFactor:
@@ -216,20 +227,22 @@ def irr(space, pairs, mult: int = 1, shift: int = 0) -> EquivariantBundle:
     return EquivariantBundle(space, [Term(checked, mult, shift)])
 
 
+@lru_cache(maxsize=KERNEL_CACHE)
 def _tensor_weights(rank: int, a: Weight, b: Weight):
-    """Decompose the GL(rank) product of two irreducibles as (weight, mult) pairs.
+    """Decompose the GL(rank) product of two irreducibles as a tuple of
+    (weight, mult) pairs.
 
     Full decompositions are implemented for rank <= 2; in rank 3 one side
     must be a power of the determinant (all catalog data keeps within this).
     """
     if rank == 1:
-        return [(a + b, 1)]
+        return ((a + b, 1),)
     if rank == 2:
-        return [(w, m) for w, m in tensor_rank2(a, b)]
+        return tuple(tensor_rank2(a, b))
     det_a = len(set(a.entries)) == 1
     det_b = len(set(b.entries)) == 1
     if det_a or det_b:
-        return [(a + b, 1)]
+        return ((a + b, 1),)
     raise NotImplementedError(
         f"GL({rank}) tensor of two non-determinant weights is not needed"
     )
@@ -252,6 +265,7 @@ def _tensor_terms(space, a: Term, b: Term) -> list[Term]:
     ]
 
 
+@lru_cache(maxsize=KERNEL_CACHE)
 def bott_factor(factor: HomFactor, sub: Weight, quot: Weight):
     """Bott's algorithm on one factor.
 
@@ -270,7 +284,7 @@ def bott_factor(factor: HomFactor, sub: Weight, quot: Weight):
             if v[i] < v[j]:
                 inversions += 1
     lam = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
-    return inversions, Weight(lam)
+    return inversions, Weight._of(lam)
 
 
 class GradedSpace:

@@ -3,13 +3,16 @@ scenario replays against the built-in variety catalog.
 
 Exit codes: 0 all checks pass, 1 a check fails, 2 malformed input, 3 an
 internal fault (a non-integral Euler characteristic: the ring data is
-inconsistent, which no input can cause).
+inconsistent, which no input can cause), 141 (128 + SIGPIPE) the reader
+closed standard output early, as ``sodcheck replay ... | head`` does; then
+nothing more is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -444,11 +447,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's final
+    flush of a closed pipe cannot raise again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor behind this stdout
+        sys.stdout = open(os.devnull, "w")
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return 141
     except IntegralityError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3

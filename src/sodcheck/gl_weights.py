@@ -6,12 +6,27 @@ are non-increasing.  Dominant weights index the irreducible representations
 powers), and everything downstream -- cohomology of homogeneous bundles,
 Chern characters, tensor decompositions -- reduces to arithmetic on these
 tuples.  All arithmetic is exact.
+
+Validation sits at the boundary.  ``Weight(...)`` and the public functions
+convert their input with ``int()``, and ``weyl_dim``, ``tensor_rank2`` and
+``weight_multiset`` reject a wrong rank or a non-dominant weight with
+``ValueError``.  Weights the engine builds itself from int tuples
+(sums, twists, duals, tensor summands, Bott results) go through the trusted
+constructor ``Weight._of``, which skips the conversion but still sets the
+``dominant`` flag.  The Weyl dimension of a dominant entry tuple is a pure
+integer function, memoised in a bounded ``lru_cache`` (``_weyl_dim``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
+from operator import add, ge
 from typing import Iterable, Iterator
+
+#: entries per kernel memo (here and in ``bbw``): the catalog's Ext queries
+#: meet at most a few hundred distinct arguments per kernel, and the bound
+#: caps the memory that arbitrary inputs can pin
+KERNEL_CACHE = 4096
 
 
 class Weight:
@@ -28,9 +43,15 @@ class Weight:
         if not ent:
             raise ValueError("weight needs at least one entry")
         object.__setattr__(self, "entries", ent)
-        object.__setattr__(
-            self, "dominant", all(a >= b for a, b in zip(ent, ent[1:]))
-        )
+        object.__setattr__(self, "dominant", all(map(ge, ent, ent[1:])))
+
+    @classmethod
+    def _of(cls, ent: tuple[int, ...]) -> "Weight":
+        """Trusted constructor: ``ent`` is a non-empty tuple of ints."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "entries", ent)
+        object.__setattr__(w, "dominant", all(map(ge, ent, ent[1:])))
+        return w
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Weight is immutable")
@@ -59,11 +80,11 @@ class Weight:
     def __add__(self, other: "Weight") -> "Weight":
         if len(other) != len(self):
             raise ValueError("rank mismatch")
-        return Weight(a + b for a, b in zip(self.entries, other.entries))
+        return Weight._of(tuple(map(add, self.entries, other.entries)))
 
     def twist(self, t: int) -> "Weight":
         """Add the determinant character t times (entrywise shift)."""
-        return Weight(a + t for a in self.entries)
+        return Weight._of(tuple(a + t for a in self.entries))
 
 
 def _as_entries(w) -> tuple[int, ...]:
@@ -81,20 +102,31 @@ def weyl_dim(n: int, w) -> int:
     ent = _as_entries(w)
     if len(ent) != n:
         raise ValueError(f"weight has length {len(ent)}, expected {n}")
-    if any(a < b for a, b in zip(ent, ent[1:])):
+    if not all(map(ge, ent, ent[1:])):
         raise ValueError(f"weight {ent} is not dominant")
-    res = Fraction(1)
+    return _weyl_dim(ent)
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _weyl_dim(ent: tuple[int, ...]) -> int:
+    """The Weyl dimension of a dominant entry tuple: one exact division of
+    the integer numerator product by the denominator product."""
+    n = len(ent)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            res *= Fraction(ent[i] - ent[j] + j - i, j - i)
-    assert res.denominator == 1 and res > 0
-    return int(res)
+            num *= ent[i] - ent[j] + j - i
+            den *= j - i
+    res, rem = divmod(num, den)
+    assert rem == 0 and res > 0
+    return res
 
 
 def dualize(w) -> Weight:
     """Highest weight of the dual representation: reverse and negate."""
-    ent = _as_entries(w)
-    return Weight(-e for e in reversed(ent))
+    if not isinstance(w, Weight):
+        w = Weight(w)
+    return Weight._of(tuple(-e for e in reversed(w.entries)))
 
 
 class WeightSum:
@@ -158,7 +190,7 @@ def tensor_rank2(a, b) -> WeightSum:
         raise ValueError("weights must be dominant")
     out = WeightSum()
     for i in range(min(ea[0] - ea[1], eb[0] - eb[1]) + 1):
-        out.add(Weight((ea[0] + eb[0] - i, ea[1] + eb[1] + i)))
+        out.add(Weight._of((ea[0] + eb[0] - i, ea[1] + eb[1] + i)))
     return out
 
 

@@ -211,61 +211,60 @@ def parse_scenario(text: str) -> Scenario:
     closing_note = ""
     closing_axioms: list[str] = []
 
-    lines = text.splitlines()
-    i = 0
     section = None
-    while i < len(lines):
-        raw = lines[i]
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
-        i += 1
         if not line.strip():
             continue
-        if line.startswith(("  ", "\t")):
-            body = line.strip()
-            if section == "initial":
-                initial.append(_parse_entry_line(body))
-            elif section == "expect":
-                expect.append(_parse_entry_line(body))
-            elif section == "step" and steps:
-                steps[-1].sublines.append(body)
-            else:
-                raise ReplayError(f"unexpected indented line {body!r}")
-            continue
-        section = None
-        if line.startswith("scenario "):
-            name = line.split(None, 1)[1].strip()
-        elif line.startswith("variety "):
-            variety_name = line.split(None, 1)[1].strip()
-        elif line.startswith("nodes "):
-            nodes = _node_count(line.split(None, 1)[1])
-        elif line.startswith("title "):
-            title = line.split(None, 1)[1].strip().strip('"')
-        elif line.startswith("allow_axioms"):
-            allowed.update(line.split()[1:])
-        elif line.startswith("initial_axioms"):
-            initial_axioms.extend(line.split()[1:])
-        elif line.startswith("closing_axioms"):
-            closing_axioms.extend(line.split()[1:])
-        elif line.startswith("initial:"):
-            section = "initial"
-        elif line.startswith("expect:"):
-            section = "expect"
-        elif line.startswith("closing_note "):
-            closing_note = line.split(None, 1)[1].strip().strip('"')
-        else:
-            m = _STEP_RE.match(line)
-            if not m:
-                raise ReplayError(f"cannot parse line {line!r}")
-            args = {}
-            rest = m.group(3)
-            for token in rest.split():
-                if "=" in token:
-                    k, v = token.split("=", 1)
-                    args[k] = v
+        try:
+            if line.startswith(("  ", "\t")):
+                body = line.strip()
+                if section == "initial":
+                    initial.append(_parse_entry_line(body))
+                elif section == "expect":
+                    expect.append(_parse_entry_line(body))
+                elif section == "step" and steps:
+                    steps[-1].sublines.append(body)
                 else:
-                    args.setdefault("_pos", []).append(token)
-            steps.append(Step(m.group(1), m.group(2), args, []))
-            section = "step"
+                    raise ReplayError(f"unexpected indented line {body!r}")
+                continue
+            section = None
+            if line.startswith("scenario "):
+                name = line.split(None, 1)[1].strip()
+            elif line.startswith("variety "):
+                variety_name = line.split(None, 1)[1].strip()
+            elif line.startswith("nodes "):
+                nodes = _node_count(line.split(None, 1)[1])
+            elif line.startswith("title "):
+                title = line.split(None, 1)[1].strip().strip('"')
+            elif line.startswith("allow_axioms"):
+                allowed.update(line.split()[1:])
+            elif line.startswith("initial_axioms"):
+                initial_axioms.extend(line.split()[1:])
+            elif line.startswith("closing_axioms"):
+                closing_axioms.extend(line.split()[1:])
+            elif line.startswith("initial:"):
+                section = "initial"
+            elif line.startswith("expect:"):
+                section = "expect"
+            elif line.startswith("closing_note "):
+                closing_note = line.split(None, 1)[1].strip().strip('"')
+            else:
+                m = _STEP_RE.match(line)
+                if not m:
+                    raise ReplayError(f"cannot parse line {line!r}")
+                args = {}
+                rest = m.group(3)
+                for token in rest.split():
+                    if "=" in token:
+                        k, v = token.split("=", 1)
+                        args[k] = v
+                    else:
+                        args.setdefault("_pos", []).append(token)
+                steps.append(Step(m.group(1), m.group(2), args, []))
+                section = "step"
+        except ReplayError as err:
+            raise ReplayError(f"line {lineno}: {err}") from None
 
     if not (name and variety_name):
         raise ReplayError("scenario must declare a name and a variety")

@@ -505,6 +505,7 @@ class HomogeneousVariety(Variety):
         self.dim = sum(f.dim for f in self.space)
         self.lattice = AmbientLattice(ring, name)
         self._classes: dict = {}
+        self._bundles: dict = {}
         self.serre = tuple(
             self.format(("O", tuple(sign * f.n for f in self.space)))
             for sign in (-1, 1)
@@ -532,11 +533,13 @@ class HomogeneousVariety(Variety):
         return kind, tuple(t + o for t, o in zip(twists, line_key[1]))
 
     def _bundle(self, key) -> EquivariantBundle:
-        kind, twists = key
-        pairs = [kind_pairs(self.space[0], kind)]
-        pairs += [kind_pairs(f, "O") for f in self.space[1:]]
-        b = irr(self.space, pairs)
-        return b.twist(twists) if any(twists) else b
+        if key not in self._bundles:  # bundles are immutable, so shared
+            kind, twists = key
+            pairs = [kind_pairs(self.space[0], kind)]
+            pairs += [kind_pairs(f, "O") for f in self.space[1:]]
+            b = irr(self.space, pairs)
+            self._bundles[key] = b.twist(twists) if any(twists) else b
+        return self._bundles[key]
 
     def kclass(self, label: str):
         key = self.parse(label)
@@ -579,6 +582,7 @@ class NetFourfold(Variety):
             slot = ch_bundle(self.ambient_ring, bundle)
             self._om_weight += -slot if p % 2 else slot
         self._ambient_chs: dict = {}
+        self._bundles: dict = {}
         self.lattice = FormalLattice(
             self.name, self._pair_oracle, self.serre_label
         )
@@ -685,8 +689,10 @@ class NetFourfold(Variety):
         return None
 
     def _bundle(self, parsed) -> EquivariantBundle:
-        _, kind, g, h = parsed
-        return _product_bundle(kind, g, h)
+        if parsed not in self._bundles:  # bundles are immutable, so shared
+            _, kind, g, h = parsed
+            self._bundles[parsed] = _product_bundle(kind, g, h)
+        return self._bundles[parsed]
 
     # ---- graded Ext
 

@@ -16,6 +16,7 @@ from sodcheck.bbw import (
     EquivariantBundle,
     Term,
     TermComplex,
+    _tensor_weights,
     bott_factor,
     cohomology,
     hypercohomology,
@@ -316,3 +317,53 @@ def test_pushforward_index_checks():
         pushforward_complex(cx, along=1)
     with pytest.raises(ValueError):
         pushforward_complex(cx, along=0)  # would leave no factor
+
+
+# ------------------------------------------------------------- kernel memos
+
+def uncached_staircase(factor, sub, quot):
+    """Reference: add rho, kill a repeat, sort, count inversions."""
+    v = [a + r for a, r in zip(tuple(sub) + tuple(quot), factor.rho)]
+    if len(set(v)) < len(v):
+        return None
+    inversions = sum(
+        1 for i in range(len(v)) for j in range(i + 1, len(v)) if v[i] < v[j]
+    )
+    lam = [x - r for x, r in zip(sorted(v, reverse=True), factor.rho)]
+    return inversions, Weight(lam)
+
+
+def test_memoised_bott_factor_matches_uncached_staircase():
+    rng = random.Random(5150)
+    for _ in range(600):
+        f = rng.choice([P3, GR23, GR24])
+        sub = sorted((rng.randrange(-5, 6) for _ in range(f.k)), reverse=True)
+        quot = sorted(
+            (rng.randrange(-5, 6) for _ in range(f.n - f.k)), reverse=True
+        )
+        want = uncached_staircase(f, sub, quot)
+        # asked twice: the second answer comes from the memo
+        for _ in range(2):
+            got = bott_factor(f, Weight(sub), Weight(quot))
+            assert got == want
+            if got is not None:
+                assert got[1].dominant
+
+
+def test_tensor_weights_returns_an_immutable_tuple():
+    for rank, a, b in ((1, (2,), (-1,)), (2, (2, 0), (1, 0)),
+                       (3, (1, 1, 1), (2, 0, -1))):
+        out = _tensor_weights(rank, Weight(a), Weight(b))
+        assert isinstance(out, tuple)
+        assert out == _tensor_weights(rank, Weight(a), Weight(b))
+    assert _tensor_weights(2, Weight((1, 0)), Weight((1, 0))) == (
+        (Weight((1, 1)), 1), (Weight((2, 0)), 1))
+
+
+def test_irr_still_rejects_non_dominant_and_wrong_rank():
+    with pytest.raises(ValueError):
+        irr((GR24,), [((0, 1), (0, 0))])
+    with pytest.raises(ValueError):
+        irr((GR24,), [((0, 0, 0), (0,))])
+    with pytest.raises(ValueError):
+        line((GR24,), (1, 2))

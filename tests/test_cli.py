@@ -1,6 +1,10 @@
 """Command-line interface tests: exit codes, output shapes, strict mode."""
 
+import io
 import json
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -136,7 +140,7 @@ def test_scenario_nodes_must_be_a_positive_integer(tmp_path, capsys, value):
     code = main(["replay", str(path)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: nodes must be a positive integer, got '{value}'\n"
+        f"error: line 3: nodes must be a positive integer, got '{value}'\n"
     )
 
 
@@ -236,3 +240,74 @@ def test_integrality_failure_is_an_internal_error(capsys, monkeypatch):
     assert captured.err.startswith(
         "internal error: non-integral Euler characteristic"
     )
+
+
+# --------------------------------------------------------------- closed pipes
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away before the first write."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class ClosedBufferedPipe(io.StringIO):
+    """A block-buffered stdout: writes are kept, the flush meets the
+    closed pipe."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout", [ClosedPipe, ClosedBufferedPipe])
+def test_closed_stdout_is_quiet_and_not_an_input_error(capsys, monkeypatch,
+                                                       stdout):
+    monkeypatch.setattr(sys, "stdout", stdout())
+    code = main(["--json", "replay", "enriques-split"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    print("after the pipe closed")  # goes to the null device, raises nothing
+    sys.stdout.close()
+
+
+# ---------------------------------------------------- scenario line numbers
+
+def test_scenario_errors_name_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.sod"
+    path.write_text("variety net_fourfold\nO\n")
+    code = main(["replay", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: cannot parse line 'O'\n"
+    path.write_text("scenario x\nvariety P3\n\ninitial:\n  entry O\n  bogus\n")
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 6: ")
+
+
+# ------------------------------------------------------- verify-all variants
+
+VERIFY_ALL = (Path(__file__).resolve().parents[1] / "bench" / "expected"
+              / "verify_all.txt").read_text()
+
+
+def test_verify_all_json_lists_the_text_table_checks(capsys):
+    code, out = run(capsys, "--json", "verify-all")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    rows = [ln for ln in VERIFY_ALL.splitlines() if ln.startswith("PASS ")]
+    names = [ln[len("PASS "):ln.rindex(" (")] for ln in rows]
+    assert len(names) == 12
+    assert [c["name"] for c in payload["checks"]] == names
+    assert all(c["passed"] for c in payload["checks"])
+
+
+def test_verify_all_from_a_catalog_directory(tmp_path, capsys):
+    bundled = resources.files("sodcheck") / "scenarios"
+    for entry in bundled.iterdir():
+        if entry.name.endswith(".sod"):
+            (tmp_path / entry.name).write_text(entry.read_text())
+    code, out = run(capsys, "--catalog", str(tmp_path), "verify-all")
+    assert code == 0
+    # scenarios run in file-name order here, in catalog order without
+    # --catalog, so only the set of lines is the same
+    assert sorted(out.splitlines()) == sorted(VERIFY_ALL.splitlines())

@@ -7,6 +7,7 @@ anchors keep the fast path honest.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -161,3 +162,58 @@ def test_weight_multiset_rank3_anchor():
     ms = weight_multiset((1, 0, 0))
     assert sorted(ms) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert len(weight_multiset((2, 1, 0))) == weyl_dim(3, (2, 1, 0)) == 8
+
+
+# ------------------------------------------------- integer kernel, trusted path
+
+def fraction_weyl_dim(ent):
+    """Reference: the Weyl product as exact rationals, factor by factor."""
+    n = len(ent)
+    res = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            res *= Fraction(ent[i] - ent[j] + j - i, j - i)
+    assert res.denominator == 1
+    return int(res)
+
+
+def test_integer_weyl_dim_matches_fraction_formula():
+    rng = random.Random(1409)
+    for _ in range(400):
+        n = rng.choice([1, 2, 3, 4])
+        parts = sorted((rng.randrange(-5, 6) for _ in range(n)), reverse=True)
+        assert weyl_dim(n, parts) == fraction_weyl_dim(parts)
+        assert weyl_dim(n, Weight(parts)) == fraction_weyl_dim(parts)
+
+
+def test_weyl_dim_checks_rank_and_dominance_even_when_memoised():
+    assert weyl_dim(2, (1, 0)) == 2
+    with pytest.raises(ValueError):
+        weyl_dim(3, (1, 0))
+    with pytest.raises(ValueError):
+        weyl_dim(2, (0, 1))
+    with pytest.raises(ValueError):
+        weyl_dim(2, Weight((0, 1)))
+
+
+def test_trusted_weight_behaves_like_a_checked_one():
+    rng = random.Random(77)
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 4])
+        ent = tuple(rng.randrange(-5, 6) for _ in range(n))
+        other = tuple(rng.randrange(-5, 6) for _ in range(n))
+        fast, checked = Weight._of(ent), Weight(ent)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert fast.dominant == checked.dominant == (
+            list(ent) == sorted(ent, reverse=True))
+        assert (fast < Weight(other)) == (checked < Weight(other))
+        assert (Weight._of(other) < fast) == (Weight(other) < checked)
+
+
+def test_engine_built_weights_carry_the_dominant_flag():
+    w = Weight((2, 0))
+    assert (w + Weight((0, 3))).dominant is False
+    assert (w + Weight((1, 1))).dominant is True
+    assert w.twist(-3) == Weight((-1, -3)) and w.twist(-3).dominant
+    assert dualize(w).dominant and not dualize(Weight((0, 2))).dominant
+    assert all(s.dominant for s, _ in tensor_rank2((3, 0), (2, 1)))
