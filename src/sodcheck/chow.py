@@ -13,7 +13,9 @@ P_ij = sum_m mul(i, j)[m] T_m, both as integers over one denominator, and
 caches them.  chi(x) is T.x and chi(a, b) is sum (-1)^codim(i) a_i P_ij b_j,
 evaluated on each class's integer numerators over their lcm.  The final
 rational is asserted to be an integer (`IntegralityError` otherwise), which
-is a real consistency check of the tables.
+is a real consistency check of the tables.  A class computes those integer
+numerators the first time it is paired and keeps them: classes never change
+after construction, so the same class is paired again at integer cost.
 
 Two kinds of rings are provided:
 
@@ -45,9 +47,12 @@ Frac = Fraction
 
 
 class ChowClass:
-    """An element of a ChowRing: a coefficient vector over the cycle basis."""
+    """An element of a ChowRing: a coefficient vector over the cycle basis.
 
-    __slots__ = ("ring", "coeffs")
+    A class is immutable; ``numerators`` keeps its integer form once asked.
+    """
+
+    __slots__ = ("ring", "coeffs", "_numerators")
 
     def __init__(self, ring: "ChowRing", coeffs: Sequence[Frac]):
         self.ring = ring
@@ -56,6 +61,20 @@ class ChowClass:
         )
         if len(self.coeffs) != len(ring.basis):
             raise ValueError("coefficient vector does not match the basis")
+        self._numerators = None
+
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """``(nums, den)``: the coefficients as integers over their lcm,
+        computed on first use and kept with the class."""
+        got = self._numerators
+        if got is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            got = self._numerators = (
+                tuple(c.numerator * (den // c.denominator)
+                      for c in self.coeffs),
+                den,
+            )
+        return got
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._same(other)
@@ -674,12 +693,6 @@ class IntegralityError(ArithmeticError):
     internal fault, never an input error."""
 
 
-def _numerators(cls: ChowClass) -> tuple[list[int], int]:
-    """Integer numerators of a class's coefficients over their lcm."""
-    den = math.lcm(*(c.denominator for c in cls.coeffs))
-    return [c.numerator * (den // c.denominator) for c in cls.coeffs], den
-
-
 class PairingForm:
     """Riemann-Roch against one weight class w as integer forms.
 
@@ -729,13 +742,13 @@ class PairingForm:
         return val
 
     def chi(self, x: ChowClass) -> int:
-        nums, den = _numerators(x)
+        nums, den = x.numerators()
         total = sum(t * n for t, n in zip(self.linear, nums) if n)
         return self._integer(total, den * self.den)
 
     def pair(self, a: ChowClass, b: ChowClass) -> int:
-        na, da = _numerators(a)
-        nb, db = _numerators(b)
+        na, da = a.numerators()
+        nb, db = b.numerators()
         total = 0
         for x, row in zip(na, self.rows):
             if x:

@@ -169,9 +169,6 @@ class WeightSum:
         )
         return f"WeightSum({inner or '0'})"
 
-    def total_dim(self, n: int) -> int:
-        return sum(m * weyl_dim(n, w) for w, m in self.items())
-
 
 def tensor_rank2(a, b) -> WeightSum:
     """Decompose the tensor product of two irreducible GL(2) representations.

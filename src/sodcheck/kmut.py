@@ -37,39 +37,6 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    out = []
-    for row in a:
-        out.append(
-            [sum(row[k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))]
-        )
-    return out
-
-
-def mat_det(a: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(a)
-    m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
     """U * A * V = D with U, V unimodular and D in Smith normal form.
 

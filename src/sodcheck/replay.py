@@ -67,6 +67,32 @@ class ReplayError(Exception):
     """A replay step failed: evidence missing, class mismatch, bad order."""
 
 
+#: prefix of the synthetic name a mutation result carries until identified
+_MUTANT = "mut:"
+
+
+class UnidentifiedResult(ReplayError):
+    """A step used a mutation result that no identify step has named.
+
+    The scenario is malformed rather than failing, so the runner lets this
+    error through and the CLI reports it as bad input.
+    """
+
+    def __init__(self, name: str):
+        sid = name[len(_MUTANT):].split(":")[0]
+        super().__init__(
+            f"{name!r} is the result of step {sid}, which has no label "
+            "until an identify step gives it one"
+        )
+
+
+def _known(label: str) -> str:
+    """``label``, unless it is the synthetic name of a mutation result."""
+    if label.startswith(_MUTANT):
+        raise UnidentifiedResult(label)
+    return label
+
+
 # --------------------------------------------------------------------------
 # entries
 
@@ -358,7 +384,7 @@ class _Runner:
                 if isinstance(e, Family) and e.name == name:
                     return i
             raise ReplayError(f"no family named {name}")
-        canon = self.variety.canon(sel)
+        canon = self.variety.canon(_known(sel))
         hits = [
             i for i, e in enumerate(self.state)
             if isinstance(e, Concrete) and e.label == canon
@@ -397,7 +423,7 @@ class _Runner:
 
     def evidence_ext(self, src: Concrete, dst: Concrete,
                      want_zero: bool) -> ExtAnswer:
-        ans = self.variety.ext(src.label, dst.label)
+        ans = self.variety.ext(_known(src.label), _known(dst.label))
         if not ans.determinate:
             raise ReplayError(
                 f"Ext({src.label}, {dst.label}) is not certified "
@@ -438,7 +464,7 @@ class _Runner:
             for b in members:
                 if a is b:
                     continue
-                ans = self.variety.ext(a.label, b.label)
+                ans = self.variety.ext(_known(a.label), _known(b.label))
                 if not (ans.determinate and ans.is_zero):
                     raise ReplayError(
                         f"{context}: family members {a.label}, {b.label} "
@@ -516,6 +542,8 @@ class _Runner:
             self.emit(f"scenario {sc.name}: PASS")
             return ReplayResult(sc.name, True, self.out,
                                 set(self.axioms_used), self.state)
+        except UnidentifiedResult:
+            raise
         except ReplayError as err:
             self.emit(f"scenario {sc.name}: FAIL — {err}")
             return ReplayResult(sc.name, False, self.out,
@@ -556,7 +584,7 @@ class _Runner:
         return self._serre_concrete(entry, inverse)
 
     def _serre_concrete(self, e: Concrete, inverse: bool) -> Concrete:
-        label = self.variety.serre_label(e.label, inverse)
+        label = self.variety.serre_label(_known(e.label), inverse)
         cls = self.lattice.serre(e.cls, inverse)
         return Concrete(label, e.parity, cls, e.index)
 
@@ -578,7 +606,7 @@ class _Runner:
         return self._twist_concrete(entry, by)
 
     def _twist_concrete(self, e: Concrete, by: str) -> Concrete:
-        label = self.variety.twist_label(e.label, by)
+        label = self.variety.twist_label(_known(e.label), by)
         if isinstance(e.cls, FormalClass):
             cls = self.lattice.combo({
                 self.variety.twist_label(g, by): c
@@ -710,7 +738,7 @@ class _Runner:
                         nonzero = True
                     cls = cls - t.cls.scale(chi)
                 results.append(Concrete(
-                    f"mut:{step.sid}" + (
+                    f"{_MUTANT}{step.sid}" + (
                         f":{mem.index}" if mem.index is not None else ""
                     ),
                     mem.parity, cls, mem.index,

@@ -21,14 +21,14 @@ Each space of interest is wrapped in a :class:`Variety` that knows how to
 
 Label contract.  A variety parses a label once into a hashable key (a
 tuple; ``O(-2h+e)`` on the blowup is ``("line", -2, (1, .., 1))``), and its
-``format`` is the only place label text is written.  Twists and the Serre
-twist act on keys, so ``canon``, ``ext``, ``twist_label`` and
-``serre_label`` are written once on :class:`Variety` and take and return
-text only at the boundary.  Each object has one written form: symmetric
-powers are ``S<p>U``/``S<p>Uv`` with p >= 2 and no leading zeros (``S1U``
-is ``U`` and ``S0U`` is ``O``), and on the N-point blowups the exceptional
-symbols are exactly ``e1 .. eN`` besides ``h``, ``e`` and ``H`` (``e01``
-is an unknown symbol).
+``format`` is the only place label text is written.  Twists, the Serre
+twist and K-classes act on keys, so ``canon``, ``ext``, ``kclass``,
+``twist_label`` and ``serre_label`` are written once on :class:`Variety`
+and take and return text only at the boundary.  Each object has one
+written form: symmetric powers are ``S<p>U``/``S<p>Uv`` with p >= 2 and no
+leading zeros (``S1U`` is ``U`` and ``S0U`` is ``O``), and on the N-point
+blowups the exceptional symbols are exactly ``e1 .. eN`` besides ``h``,
+``e`` and ``H`` (``e01`` is an unknown symbol).
 
 The catalog covers the ambient homogeneous spaces (projective 3-space,
 the two Grassmannians of planes, and the mixed product), the
@@ -429,8 +429,8 @@ class Variety:
 
     A subclass supplies ``parse`` (label text to a hashable key),
     ``format`` (key to label text, the only writer of labels),
-    ``is_line``, ``twist`` (key twisted by a line-bundle key), ``kclass``,
-    ``_ext`` on keys, and ``serre``, the line-bundle labels of the
+    ``is_line``, ``twist`` (key twisted by a line-bundle key), ``_class``
+    and ``_ext`` on keys, and ``serre``, the line-bundle labels of the
     canonical bundle and its inverse.  Everything that takes label text
     is written here once on top of those.
     """
@@ -451,7 +451,7 @@ class Variety:
     def twist(self, key, line_key):
         raise NotImplementedError
 
-    def kclass(self, label: str):
+    def _class(self, key):
         raise NotImplementedError
 
     def _ext(self, pa, pb) -> ExtAnswer:
@@ -459,6 +459,9 @@ class Variety:
 
     def canon(self, label: str) -> str:
         return self.format(self.parse(label))
+
+    def kclass(self, label: str):
+        return self._class(self.parse(label))
 
     def ext(self, a: str, b: str) -> ExtAnswer:
         return self._ext(self.parse(a), self.parse(b))
@@ -541,8 +544,7 @@ class HomogeneousVariety(Variety):
             self._bundles[key] = b.twist(twists) if any(twists) else b
         return self._bundles[key]
 
-    def kclass(self, label: str):
-        key = self.parse(label)
+    def _class(self, key):
         if key not in self._classes:  # classes are immutable, so shared
             self._classes[key] = ch_bundle(self.ring, self._bundle(key))
         return self._classes[key]
@@ -649,8 +651,8 @@ class NetFourfold(Variety):
         out[quo] = out.get(quo, 0) + 1
         return out
 
-    def kclass(self, label: str):
-        return self.lattice.combo(self._resolve(self.parse(label)))
+    def _class(self, key):
+        return self.lattice.combo(self._resolve(key))
 
     # ---- pairing oracle (Riemann-Roch route, independent of the staircase)
 
@@ -925,9 +927,6 @@ class BlownProjectiveSpace(Variety):
 
     # ---- classes
 
-    def kclass(self, label: str):
-        return self._class(self.parse(label))
-
     def _class(self, key):
         if key not in self._classes:  # classes are immutable, so shared
             make = blowup_plane_ch if key[0] == "eplane" else blowup_line_ch
@@ -1055,8 +1054,8 @@ class CoverBlowup(Variety):
 
     # ---- classes
 
-    def kclass(self, label: str):
-        return self.lattice.combo({self.canon(label): 1})
+    def _class(self, key):
+        return self.lattice.combo({self.format(key): 1})
 
     # ---- pairing oracle
 
@@ -1351,15 +1350,23 @@ def double_cover_check(base_name: str, polarization: str,
     polarization; (ii) the collection doubled by its (-polarization) twist
     is numerically exceptional in the doubled order (graded, when the base
     is homogeneous); (iii) the cover-side pairing defined by doubling is
-    unitriangular on the collection and satisfies cover Serre duality.
+    unitriangular on the collection and satisfies cover Serre duality;
+    (iv) an independent Euler route re-derives the cover pairing.  The
+    labels are parsed once; all twisting and pairing happens on keys.
     """
     base = get_variety(base_name, nodes)
+    pol = base.parse(polarization)
+    if not base.is_line(pol):
+        raise ValueError("can only twist by a line-bundle label")
+    keys = [base.parse(c) for c in collection]
+    for key in keys:
+        _negate_line(key)  # every member must be a line bundle
+    neg = _negate_line(pol)
     items = []
 
     # (i) canonical class equals the inverse square of the polarization
-    twice = base.twist_label(polarization, polarization)
-    ok = base.ring.canonical_ch == base.kclass(
-        _negate_line_label(base, twice)
+    ok = base.ring.canonical_ch == base._class(
+        _negate_line(base.twist(pol, pol))
     )
     items.append((
         "canonical class is minus twice the polarization", ok,
@@ -1367,15 +1374,15 @@ def double_cover_check(base_name: str, polarization: str,
     ))
 
     # (ii) doubled collection on the base
-    neg = _negate_line_label(base, polarization)
-    doubled = [base.twist_label(c, neg) for c in collection] + list(collection)
+    doubled = [base.twist(k, neg) for k in keys] + keys
     graded_ok = True
     detail = "chi-level"
     if isinstance(base, HomogeneousVariety):
         detail = "graded"
-        for j in range(len(doubled)):
-            for i in range(len(doubled)):
-                ans = base.ext(doubled[i], doubled[j])
+        labels = [base.format(k) for k in doubled]
+        for j in range(len(labels)):
+            for i in range(len(labels)):
+                ans = base.ext(labels[i], labels[j])
                 if i == j:
                     good = ans.graded == {0: 1}
                 elif i > j:
@@ -1385,7 +1392,7 @@ def double_cover_check(base_name: str, polarization: str,
                 if not good:
                     graded_ok = False
     gram_ok = True
-    cls = [base.kclass(c) for c in doubled]
+    cls = [base._class(k) for k in doubled]
     for i in range(len(cls)):
         for j in range(len(cls)):
             val = base.lattice.pair(cls[i], cls[j])
@@ -1399,17 +1406,17 @@ def double_cover_check(base_name: str, polarization: str,
     ))
 
     # (iii) cover-side pairing by doubling
-    def cover_chi(x: str, y: str) -> int:
-        direct = base.lattice.pair(base.kclass(x), base.kclass(y))
+    def cover_chi(x, y) -> int:
+        direct = base.lattice.pair(base._class(x), base._class(y))
         down = base.lattice.pair(
-            base.kclass(x), base.kclass(base.twist_label(y, neg))
+            base._class(x), base._class(base.twist(y, neg))
         )
         return direct + down
 
     tri_ok = True
-    for i in range(len(collection)):
-        for j in range(len(collection)):
-            val = cover_chi(collection[i], collection[j])
+    for i in range(len(keys)):
+        for j in range(len(keys)):
+            val = cover_chi(keys[i], keys[j])
             if i == j and val != 1:
                 tri_ok = False
             if i > j and val != 0:
@@ -1421,10 +1428,10 @@ def double_cover_check(base_name: str, polarization: str,
 
     serre_ok = True
     sign = (-1) ** base.dim
-    for x in collection:
-        for y in collection:
+    for x in keys:
+        for y in keys:
             lhs = cover_chi(x, y)
-            rhs = sign * cover_chi(y, base.twist_label(x, neg))
+            rhs = sign * cover_chi(y, base.twist(x, neg))
             if lhs != rhs:
                 serre_ok = False
     items.append((
@@ -1437,23 +1444,20 @@ def double_cover_check(base_name: str, polarization: str,
     if isinstance(base, BlownProjectiveSpace):
         route = "exceptional-layer peeling"
 
-        def indep_chi(x: str, y: str) -> int:
-            diff = base.twist_label(y, _negate_line_label(base, x))
-            parsed = base.parse(diff)
-            return line_euler_by_peeling(base, parsed[1], parsed[2])
+        def indep_chi(x, y) -> int:
+            _, dh, de = base.twist(y, _negate_line(x))
+            return line_euler_by_peeling(base, dh, de)
     else:
         route = "weight staircase"
 
-        def indep_chi(x: str, y: str) -> int:
-            diff = base.twist_label(y, _negate_line_label(base, x))
-            return base.ext("O", diff).chi
+        def indep_chi(x, y) -> int:
+            diff = base.twist(y, _negate_line(x))
+            return base.ext("O", base.format(diff)).chi
 
     ident_ok = True
-    for x in collection:
-        for y in collection:
-            indep = indep_chi(x, y) + indep_chi(
-                x, base.twist_label(y, neg)
-            )
+    for x in keys:
+        for y in keys:
+            indep = indep_chi(x, y) + indep_chi(x, base.twist(y, neg))
             if indep != cover_chi(x, y):
                 ident_ok = False
     items.append((
@@ -1486,14 +1490,14 @@ def line_euler_by_peeling(base, dh: int, de) -> int:
     return cohomology(line((P3,), (dh,))).euler()
 
 
-def _negate_line_label(variety: Variety, label: str) -> str:
-    """The label of the inverse line bundle."""
-    key = variety.parse(label)
-    if isinstance(variety, HomogeneousVariety) and key[0] == "O":
-        return variety.format(("O", tuple(-t for t in key[1])))
+def _negate_line(key):
+    """The key of the inverse line bundle, on a homogeneous space or the
+    blowup."""
+    if key[0] == "O":
+        return "O", tuple(-t for t in key[1])
     if key[0] == "line":
         _, h, e = key
-        return variety.format(("line", -h, tuple(-c for c in e)))
+        return "line", -h, tuple(-c for c in e)
     raise ValueError("expected a line-bundle label")
 
 

@@ -67,6 +67,16 @@ def test_strict_rejects_chi_only(capsys):
     assert code == 1
 
 
+def test_strict_rejects_a_chi_only_bundle_pair(capsys):
+    code, out = run(capsys, "--strict", "hyper", "net_fourfold",
+                    "O(-2g-2h)", "O")
+    assert code == 1
+    assert out.splitlines() == [
+        "indeterminate (CHI-ONLY: staircase Euler characteristic)",
+        "chi = 160",
+    ]
+
+
 def test_strict_accepts_certified(capsys):
     code, _ = run(capsys, "--strict", "hyper", "net_fourfold",
                   "O(-h)", "O(-g)")

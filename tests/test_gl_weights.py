@@ -129,7 +129,8 @@ def test_tensor_rank2_dimension_multiplicative_exhaustive():
     weights = list(_dominant_gl2(-4, 4))
     for a, b in itertools.product(weights, repeat=2):
         out = tensor_rank2(a, b)
-        assert out.total_dim(2) == weyl_dim(2, a) * weyl_dim(2, b)
+        total = sum(m * weyl_dim(2, w) for w, m in out)
+        assert total == weyl_dim(2, a) * weyl_dim(2, b)
         # all summands dominant, multiplicity-free for GL(2)
         assert all(w.dominant and m == 1 for w, m in out)
 

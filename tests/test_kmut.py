@@ -12,8 +12,6 @@ from sodcheck.kmut import (
     gram,
     is_exceptional,
     is_unitriangular,
-    mat_det,
-    mat_mul,
     mutate_left,
     mutate_right,
     relation_membership,
@@ -23,6 +21,45 @@ from sodcheck.kmut import (
 
 # --------------------------------------------------------------------------
 # Smith normal form
+
+def mat_mul(a, b):
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b)))
+         for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def mat_det(a) -> int:
+    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(a)
+    m = [list(map(int, row)) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def test_mat_det_hand_examples():
+    assert mat_det([[2, 1], [7, 4]]) == 1
+    assert mat_det([[0, 1], [1, 0]]) == -1
+    assert mat_det([[1, 2], [2, 4]]) == 0
+    assert mat_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+    assert mat_det([[0, 2, 1], [1, 0, 0], [0, 1, 1]]) == -1
+
 
 def _check_snf(a):
     diag, u, v = smith_normal_form(a)

@@ -6,10 +6,12 @@ taken by plain ring products, on integer combinations of genuine characters
 (bundles on the homogeneous rings; line bundles and exceptional-plane
 sheaves on the blowups), together with bilinearity, Serre duality, the
 closed-form blowup line characters, the fourfold's single Koszul-weight
-form and the integrality guard on every route.  Property runs are
-derandomized, so the suite stays deterministic.
+form, the integer numerators each class keeps after its first pairing and
+the integrality guard on every route.  Property runs are derandomized, so
+the suite stays deterministic.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from sodcheck.bbw import irr
 from sodcheck.chow import (
+    ChowClass,
     IntegralityError,
     blowup_line_ch,
     blowup_plane_ch,
@@ -157,6 +160,77 @@ def test_fourfold_form_matches_slot_sum():
                 (-1) ** p * euler_pairing(amb, x, s) for p, s in sy.items()
             )
             assert four._ambient_chi(ka, kb) == want
+
+
+# ------------------------------------------------- kept integer numerators
+
+def _lcm_form(cls):
+    den = math.lcm(*(c.denominator for c in cls.coeffs))
+    return tuple(int(c * den) for c in cls.coeffs), den
+
+
+def _seeded_classes(rng, ring, count):
+    """Rational combinations of basis monomials, denominators up to 12."""
+    out = []
+    for _ in range(count):
+        coeffs = [
+            F(rng.randint(-9, 9), rng.randint(1, 12))
+            if rng.random() < 0.6 else F(0)
+            for _ in ring.basis
+        ]
+        out.append(ChowClass(ring, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_pairing_keeps_each_class_numerators(name):
+    ring = RINGS[name]()
+    rng = random.Random(1515)
+    for a, b in zip(*(_seeded_classes(rng, ring, 12) for _ in range(2))):
+        a_copy, b_copy = ChowClass(ring, a.coeffs), ChowClass(ring, b.coeffs)
+        assert a._numerators is None and b._numerators is None
+        try:
+            first = euler_pairing(ring, a, b)
+        except IntegralityError:
+            first = None  # random rationals rarely pair to an integer
+        kept = a._numerators
+        assert kept == _lcm_form(a) and b._numerators == _lcm_form(b)
+        nums, den = kept
+        assert type(nums) is tuple and type(den) is int
+        assert all(type(x) is int for x in nums)
+        try:
+            second = euler_pairing(ring, a, b)
+        except IntegralityError:
+            second = None
+        assert a._numerators is kept and a.numerators() is kept
+        assert first == second
+        # a class never paired before reads the same as the filled one
+        try:
+            fresh = euler_pairing(ring, a_copy, b_copy)
+        except IntegralityError:
+            fresh = None
+        assert fresh == first
+
+
+def _form_den(ring):
+    chi(ring, ring.one())  # builds the form against 1
+    return ring._forms[None].den
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_kept_numerators_pair_like_the_textbook_formula(name):
+    ring = RINGS[name]()
+    rng = random.Random(1516)
+    classes = _seeded_classes(rng, ring, 6)
+    # scale each class by the product of its denominators' lcm and the
+    # form's, so every pairing is integral, then pair twice
+    ints = [x.scale(_lcm_form(x)[1] * _form_den(ring)) for x in classes]
+    for a in ints:
+        assert chi(ring, a) == reference_chi(ring, a) == chi(ring, a)
+        for b in ints:
+            want = reference_pairing(ring, a, b)
+            assert euler_pairing(ring, a, b) == want
+            assert euler_pairing(ring, a, b) == want
 
 
 # ------------------------------------------------------ integrality guard

@@ -21,6 +21,7 @@ from sodcheck.replay import (
     Concrete,
     Family,
     ReplayError,
+    UnidentifiedResult,
     load_scenario,
     parse_scenario,
     run_all,
@@ -49,6 +50,11 @@ def flat_state(state):
 
 def run_text(text):
     return run_scenario(parse_scenario(text))
+
+
+def load_scenario_text(name):
+    return (Path(__file__).resolve().parents[1] / "src" / "sodcheck"
+            / "scenarios" / f"{name}.sod").read_text()
 
 
 # ------------------------------------------------------- bundled scenarios
@@ -283,6 +289,45 @@ expect:
         "C^6[0] chi=6 [BBW: structure-sheaf Koszul + weight staircase]; "
         "expected zero"
     )
+
+
+def test_selecting_an_unidentified_result_is_an_input_error(tmp_path, capsys):
+    # without its identify step, a4's result keeps its synthetic name; a
+    # later step naming it must not hand that name to the label parser
+    text = load_scenario_text("blown-p3-doubling")
+    drop = "step a5 identify from=a4 as=O(-2h+e) parity=0\n"
+    assert drop in text and "through=O(-2h+e)" in text
+    path = tmp_path / "doubling.sod"
+    path.write_text(
+        text.replace(drop, "").replace("through=O(-2h+e)", "through=mut:a4")
+    )
+    code = main(["replay", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "step a4" in err and "mut:a4" in err
+    assert "cannot parse label" not in err
+
+
+BEILINSON_MUTANT = """
+scenario unnamed-mutant
+variety P3
+initial:
+  entry O
+  entry O(h)
+step m1 mutate_left mover=O(h) through=O
+"""
+
+
+@pytest.mark.parametrize("step", [
+    "step s1 serre right 1",
+    "step s1 pass_left movers=O to=front",
+    "step s1 twist_all by=O(h)",
+])
+def test_an_unidentified_result_never_reaches_the_variety(step):
+    with pytest.raises(UnidentifiedResult, match="result of step m1"):
+        run_text(BEILINSON_MUTANT + step + "\n")
 
 
 def test_unlisted_import_fails():

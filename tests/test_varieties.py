@@ -146,6 +146,19 @@ def test_fourfold_clifford_halves():
     assert M.resolve_axioms("O(-h)") == ()
 
 
+def test_fourfold_bundle_pair_chi_only_return():
+    # the Koszul staircase of O(-2g-2h) -> O keeps terms in adjacent
+    # degrees that a differential could cancel, so only the Euler number is
+    # certified, and it matches Riemann-Roch
+    ans = M.ext("O(-2g-2h)", "O")
+    assert not ans.determinate and ans.graded is None
+    assert ans.tag == "CHI-ONLY"
+    assert ans.route == "staircase Euler characteristic"
+    assert ans.chi == 160 == M.chi("O(-2g-2h)", "O")
+    assert ans.table is not None and not ans.table.determinate
+    assert ans.axioms == ()
+
+
 def test_fourfold_axiom_tagged_vanishing():
     ans = M.ext("O(-h)", "Cliff_2(-g)")
     assert ans.is_zero and ans.chi == 0
@@ -361,6 +374,84 @@ def test_double_cover_check_detects_wrong_polarization():
     rep = double_cover_check("P3", "O(h)", ["O(-h)", "O"])
     assert not rep.passed
     assert not rep.items[0][1]  # canonical-class item must fail
+
+
+_COVER_NAMES = (
+    "canonical class is minus twice the polarization",
+    "doubled collection is numerically exceptional on the base",
+    "cover pairing is unitriangular on the collection",
+    "cover pairing satisfies cover Serre duality",
+    "cover pairing matches an independent Euler route",
+)
+_SERRE_DETAIL = "chi(A,B) = (-1)^3 chi(B, A x inverse polarization)"
+
+
+def _cover_items(oks, pol, doubled, detail, objects, route):
+    """The five (name, ok, detail) items of a double-cover report."""
+    details = (
+        f"H = {pol}", f"{doubled} classes, {detail}", f"{objects} objects",
+        _SERRE_DETAIL, f"doubling identity re-derived by {route} on all pairs",
+    )
+    return list(zip(_COVER_NAMES, oks, details))
+
+
+def _blowup_collection(nodes):
+    return ["O(-h)"] + [f"O(-e{i})" for i in range(1, nodes + 1)] + ["O"]
+
+
+def test_double_cover_items_on_p3():
+    rep = double_cover_check("P3", "O(2h)", ["O(-h)", "O"])
+    assert rep.items == _cover_items(
+        (True,) * 5, "O(2h)", 4, "graded", 2, "weight staircase"
+    )
+
+
+@pytest.mark.parametrize("nodes", [1, 4, 10, 11])
+def test_double_cover_items_on_blowup(nodes):
+    collection = _blowup_collection(nodes)
+    rep = double_cover_check("blown_p3", "O(H)", collection, nodes=nodes)
+    assert rep.items == _cover_items(
+        (True,) * 5, "O(H)", 2 * (nodes + 2), "chi-level", nodes + 2,
+        "exceptional-layer peeling",
+    )
+
+
+def test_double_cover_wrong_polarization_on_blowup():
+    rep = double_cover_check("blown_p3", "O(h)", _blowup_collection(4),
+                             nodes=4)
+    assert rep.items == _cover_items(
+        (False, False, False, False, True), "O(h)", 12, "chi-level", 6,
+        "exceptional-layer peeling",
+    )
+
+
+def test_double_cover_reversed_collection():
+    rep = double_cover_check("P3", "O(2h)", ["O", "O(-h)"])
+    assert rep.items == _cover_items(
+        (True, False, False, True, True), "O(2h)", 4, "graded", 2,
+        "weight staircase",
+    )
+    rep = double_cover_check("blown_p3", "O(H)", ["O", "O(-h)"], nodes=4)
+    assert [ok for _, ok, _ in rep.items] == [True, False, False, True, True]
+
+
+def test_double_cover_rejects_a_plane_polarization():
+    with pytest.raises(ValueError, match="can only twist by a line-bundle"):
+        double_cover_check("blown_p3", "O_E1", _blowup_collection(4),
+                           nodes=4)
+
+
+@pytest.mark.parametrize("collection", [["O_E1", "O"], ["O(-h)", "O_E1"]])
+def test_double_cover_rejects_a_plane_member(collection):
+    with pytest.raises(ValueError, match="expected a line-bundle label"):
+        double_cover_check("blown_p3", "O(H)", collection, nodes=4)
+
+
+def test_double_cover_rejects_unparsable_labels():
+    with pytest.raises(ValueError, match="P3 cannot parse label 'O_E1'"):
+        double_cover_check("P3", "O(2h)", ["O_E1"])
+    with pytest.raises(ValueError, match="only carries line-bundle labels"):
+        double_cover_check("P3", "S2U", ["O"])
 
 
 def test_projection_shadow_report():
