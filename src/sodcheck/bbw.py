@@ -337,13 +337,6 @@ class GradedSpace:
     def euler(self) -> int:
         return sum((-1) ** deg * d for deg, d in self.dims().items())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedSpace)
-            and self.space == other.space
-            and self.dims() == other.dims()
-        )
-
     def describe(self) -> str:
         dims = self.dims()
         if not dims:

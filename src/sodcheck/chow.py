@@ -1,9 +1,12 @@
 """Integral Chow rings, Chern characters and exact Euler pairings.
 
 Each ring is a finite free Z-module with a fixed basis of cycle classes, a
-sparse multiplication table, and a degree functional on the top codimension.
-Classes carry `fractions.Fraction` coefficients -- Chern characters and Todd
-classes are honestly rational.
+sparse integer multiplication table, and an integer degree functional on the
+top codimension.  A class is stored in one form, `IntVector`: integer
+numerators keyed by basis index over one positive denominator, in lowest
+terms.  Chern characters and Todd classes are honestly rational, but all
+arithmetic on them is integer arithmetic on that form; `fractions.Fraction`
+appears only where a class is built from or read as rationals.
 
 Euler characteristics go through one core: Hirzebruch-Riemann-Roch as a
 bilinear form on A(X)_Q (Fulton, Intersection Theory, Sec. 15).  For a
@@ -11,11 +14,9 @@ weight class w (1 for plain chi) a ring builds, on first use, the linear
 form T_k = deg(b_k . w . td) and the pairing matrix
 P_ij = sum_m mul(i, j)[m] T_m, both as integers over one denominator, and
 caches them.  chi(x) is T.x and chi(a, b) is sum (-1)^codim(i) a_i P_ij b_j,
-evaluated on each class's integer numerators over their lcm.  The final
-rational is asserted to be an integer (`IntegralityError` otherwise), which
-is a real consistency check of the tables.  A class computes those integer
-numerators the first time it is paired and keeps them: classes never change
-after construction, so the same class is paired again at integer cost.
+evaluated on each class's integer numerators.  The final rational is
+asserted to be an integer (`IntegralityError` otherwise), which is a real
+consistency check of the tables.
 
 Two kinds of rings are provided:
 
@@ -46,141 +47,179 @@ from .bbw import GR23, GR24, P3, EquivariantBundle, HomFactor, irr
 Frac = Fraction
 
 
-class ChowClass:
-    """An element of a ChowRing: a coefficient vector over the cycle basis.
+class IntVector:
+    """Integer numerators over one positive denominator, in lowest terms.
 
-    A class is immutable; ``numerators`` keeps its integer form once asked.
+    ``nums`` maps each key with a nonzero coefficient to its numerator and
+    ``den`` is the common denominator, sharing no factor with all of them,
+    so equal vectors store equal forms.  ``home`` is the ring or lattice
+    the vector lives in.  `ChowClass` (keys are basis indices) and
+    `kmut.FormalClass` (generator names) share this arithmetic.  A vector
+    never changes after construction.
     """
 
-    __slots__ = ("ring", "coeffs", "_numerators")
+    __slots__ = ("home", "nums", "den")
 
-    def __init__(self, ring: "ChowRing", coeffs: Sequence[Frac]):
-        self.ring = ring
-        self.coeffs = tuple(
-            c if type(c) is Frac else Frac(c) for c in coeffs
+    @classmethod
+    def _build(cls, home, nums: dict, den: int = 1):
+        """A vector from any form over a positive ``den``: zero entries are
+        dropped and common factors cancelled."""
+        nums = {k: v for k, v in nums.items() if v}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+                den //= g
+        new = object.__new__(cls)
+        new.home, new.nums, new.den = home, nums, den
+        return new
+
+    def _like(self, nums: dict, den: int | None = None):
+        """A vector in the same home, over ``den`` (default: this one's)."""
+        return self._build(self.home, nums, self.den if den is None else den)
+
+    def _same(self, other: "IntVector") -> None:
+        if self.home is not other.home:
+            raise ValueError("classes live in different rings or lattices")
+
+    def _combine(self, other: "IntVector", sign: int):
+        self._same(other)
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        out = {k: ma * v for k, v in self.nums.items()}
+        for k, v in other.nums.items():
+            out[k] = out.get(k, 0) + mb * v
+        return self._like(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.nums.items()})
+
+    def scale(self, k, over: int = 1):
+        """Multiply by the rational k / over, for a positive int ``over``
+        and ``k`` an int or any rational (such as a `Fraction`)."""
+        if type(k) is not int:
+            k = Frac(k)
+            k, over = k.numerator, k.denominator * over
+        return self._like({g: k * v for g, v in self.nums.items()},
+                          self.den * over)
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, IntVector)
+            and self.home is other.home
+            and self.den == other.den
+            and self.nums == other.nums
         )
-        if len(self.coeffs) != len(ring.basis):
+
+    def __hash__(self) -> int:
+        return hash((id(self.home), frozenset(self.nums.items()), self.den))
+
+
+class ChowClass(IntVector):
+    """An element of a ChowRing: an `IntVector` keyed by basis index.
+
+    The constructor takes a dense vector of rationals over the basis, and
+    ``coeffs`` reads one back as `Fraction`s; everything else works on the
+    integer form.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring: "ChowRing", coeffs: Sequence):
+        coeffs = [c if type(c) is Frac else Frac(c) for c in coeffs]
+        if len(coeffs) != len(ring.basis):
             raise ValueError("coefficient vector does not match the basis")
-        self._numerators = None
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.home = ring
+        self.nums = {
+            i: c.numerator * (den // c.denominator)
+            for i, c in enumerate(coeffs) if c
+        }
+        self.den = den
+
+    @property
+    def ring(self) -> "ChowRing":
+        return self.home
+
+    @property
+    def coeffs(self) -> tuple[Frac, ...]:
+        """The coefficients over the basis as `Fraction`s."""
+        nums, den = self.numerators()
+        return tuple(Frac(n, den) for n in nums)
 
     def numerators(self) -> tuple[tuple[int, ...], int]:
-        """``(nums, den)``: the coefficients as integers over their lcm,
-        computed on first use and kept with the class."""
-        got = self._numerators
-        if got is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            got = self._numerators = (
-                tuple(c.numerator * (den // c.denominator)
-                      for c in self.coeffs),
-                den,
-            )
-        return got
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        self._same(other)
-        return ChowClass(
-            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        self._same(other)
-        return ChowClass(
-            self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ring, [-a for a in self.coeffs])
-
-    def scale(self, k) -> "ChowClass":
-        k = Frac(k)
-        return ChowClass(self.ring, [k * a for a in self.coeffs])
+        """``(nums, den)``: the stored numerators as a dense tuple over the
+        basis, and the stored denominator."""
+        get = self.nums.get
+        return tuple(get(i, 0) for i in range(len(self.ring.basis))), self.den
 
     def __mul__(self, other):
         if not isinstance(other, ChowClass):
             return self.scale(other)
         self._same(other)
-        ring = self.ring
-        out = [Frac(0)] * len(ring.basis)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                for k, c in ring.mul_basis(i, j).items():
-                    out[k] += a * b * c
-        return ChowClass(ring, out)
+        cell_of = self.ring._table.get
+        out: dict[int, int] = {}
+        theirs = other.nums.items()
+        for i, a in self.nums.items():
+            for j, b in theirs:
+                cell = cell_of((i, j))
+                if cell:
+                    ab = a * b
+                    for k, c in cell.items():
+                        out[k] = out.get(k, 0) + ab * c
+        return self._like(out, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def _same(self, other: "ChowClass") -> None:
-        if self.ring is not other.ring:
-            raise ValueError("classes live in different rings")
-
     def component(self, codim: int) -> "ChowClass":
-        return ChowClass(
-            self.ring,
-            [
-                c if self.ring.codim[i] == codim else Frac(0)
-                for i, c in enumerate(self.coeffs)
-            ],
-        )
+        cd = self.ring.codim
+        return self._like({i: v for i, v in self.nums.items()
+                           if cd[i] == codim})
 
     def rank(self) -> Frac:
         """The codimension-zero coefficient (virtual rank of a K-class)."""
-        return sum(
-            (c for i, c in enumerate(self.coeffs) if self.ring.codim[i] == 0),
-            Frac(0),
+        cd = self.ring.codim
+        return Frac(
+            sum(v for i, v in self.nums.items() if cd[i] == 0), self.den
         )
 
     def dual(self) -> "ChowClass":
         """Chern character of the derived dual: negate odd codimensions."""
-        return ChowClass(
-            self.ring,
-            [
-                -c if self.ring.codim[i] % 2 else c
-                for i, c in enumerate(self.coeffs)
-            ],
-        )
+        cd = self.ring.codim
+        return self._like({i: -v if cd[i] % 2 else v
+                           for i, v in self.nums.items()})
 
     def adams(self, k: int) -> "ChowClass":
         """Adams operation psi^k on a Chern character: the codimension-d
         part scaled by k^d (psi^-1 is the dual)."""
-        return ChowClass(
-            self.ring,
-            [c * k ** self.ring.codim[i] for i, c in enumerate(self.coeffs)],
-        )
+        cd = self.ring.codim
+        return self._like({i: v * k ** cd[i] for i, v in self.nums.items()})
 
     def degree(self) -> Frac:
-        return sum(
-            (c * d for c, d in zip(self.coeffs, self.ring.deg)), Frac(0)
-        )
+        deg = self.ring.deg
+        return Frac(sum(v * deg[i] for i, v in self.nums.items()), self.den)
 
     def exp(self) -> "ChowClass":
         """exp of a class with zero rank part (nilpotent), e.g. a divisor."""
-        if self.rank() != 0:
+        cd = self.ring.codim
+        if any(cd[i] == 0 for i in self.nums):
             raise ValueError("exp needs a rank-zero (nilpotent) class")
-        out = self.ring.one()
-        power = self.ring.one()
+        out = power = self.ring.one()
         fact = 1
         for n in range(1, self.ring.dim + 1):
             power = power * self
             fact *= n
-            out = out + power.scale(Frac(1, fact))
+            out = out + power.scale(1, fact)
         return out
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChowClass)
-            and self.ring is other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.ring), self.coeffs))
 
     def __repr__(self) -> str:
         parts = [
@@ -199,8 +238,9 @@ class ChowRing:
         self.dim = dim
         self.basis = tuple(basis)
         self.codim = tuple(codim)
-        self._table = table  # {(i, j) i<=j: {k: Frac}}
-        self.deg = tuple(Frac(d) for d in deg)
+        # {(i, j): {k: int}} given for i <= j, stored for both orders
+        self._table = {**table, **{(j, i): c for (i, j), c in table.items()}}
+        self.deg = tuple(deg)
         self.index = {lbl: i for i, lbl in enumerate(self.basis)}
         # optional equipment, set by builders:
         self.factors: tuple[HomFactor, ...] = ()
@@ -208,27 +248,21 @@ class ChowRing:
         self.todd: ChowClass | None = None
         self.canonical_ch: ChowClass | None = None
         self._ch_cache: dict = {}
-        self._forms: dict = {}  # weight coefficients -> PairingForm
+        self._forms: dict = {}  # weight class (None for 1) -> PairingForm
 
-    def mul_basis(self, i: int, j: int) -> dict[int, Frac]:
-        if i > j:
-            i, j = j, i
+    def mul_basis(self, i: int, j: int) -> dict[int, int]:
         return self._table.get((i, j), {})
 
     def zero(self) -> ChowClass:
-        return ChowClass(self, [Frac(0)] * len(self.basis))
+        return ChowClass._build(self, {})
 
     def one(self) -> ChowClass:
         units = [i for i, cd in enumerate(self.codim) if cd == 0]
         assert len(units) == 1
-        vec = [Frac(0)] * len(self.basis)
-        vec[units[0]] = Frac(1)
-        return ChowClass(self, vec)
+        return ChowClass._build(self, {units[0]: 1})
 
     def monomial(self, label: str, coeff=1) -> ChowClass:
-        vec = [Frac(0)] * len(self.basis)
-        vec[self.index[label]] = Frac(coeff)
-        return ChowClass(self, vec)
+        return ChowClass._build(self, {self.index[label]: 1}).scale(coeff)
 
     def __repr__(self) -> str:
         return f"ChowRing({self.name}, dim={self.dim}, rank={len(self.basis)})"
@@ -261,7 +295,7 @@ def _ch_rep(ring, weight, ch_e):
         acc = ring.zero()
         for i in range(1, m + 1):
             acc = acc + p[i] * h[m - i]
-        h.append(acc.scale(Frac(1, m)))
+        h.append(acc.scale(1, m))
     out = ring.zero()
     for perm in itertools.permutations(range(n)):
         idx = [lam[i] - i + j for i, j in enumerate(perm)]
@@ -319,7 +353,7 @@ def ch_from_chern(ring: ChowRing, c: list[ChowClass]) -> ChowClass:
             acc = acc + (term if i % 2 else -term)
         p.append(acc)
         fact *= m
-        ch = ch + acc.scale(Frac(1, fact))
+        ch = ch + acc.scale(1, fact)
     return ch
 
 
@@ -336,7 +370,7 @@ def chern_from_ch(ring: ChowRing, ch: ChowClass) -> list[ChowClass]:
         for i in range(1, m + 1):
             term = e[m - i] * p[i]
             acc = acc + (term if i % 2 else -term)
-        e.append(acc.scale(Frac(1, m)))
+        e.append(acc.scale(1, m))
     return e[1:]
 
 
@@ -378,16 +412,16 @@ def _todd_any_dim(ring, c, degcap):
     c1, c2, c3, c4 = c[0], c[1], c[2], c[3]
     parts = [
         ring.one(),
-        c1.scale(Frac(1, 2)),
-        (c1 * c1 + c2).scale(Frac(1, 12)),
-        (c1 * c2).scale(Frac(1, 24)),
+        c1.scale(1, 2),
+        (c1 * c1 + c2).scale(1, 12),
+        (c1 * c2).scale(1, 24),
         (
             (c1 * c1 * c2).scale(4)
             + (c1 * c3)
             + (c2 * c2).scale(3)
             - (c1 * c1 * c1 * c1)
             - c4
-        ).scale(Frac(1, 720)),
+        ).scale(1, 720),
     ]
     out = ring.zero()
     for d, part in enumerate(parts):
@@ -409,7 +443,7 @@ def _table_from_products(basis, products):
         i, j = index[a], index[b]
         if i > j:
             i, j = j, i
-        cell = {index[lbl]: Frac(c) for lbl, c in res.items() if c}
+        cell = {index[lbl]: c for lbl, c in res.items() if c}
         prev = table.get((i, j))
         if prev is not None and prev != cell:
             raise AssertionError(
@@ -483,21 +517,21 @@ def _build_grassmannian(name, box, dimension):
         out = {}
         for lam, c in vec.items():
             for nl in _pieri_2rows(lam, p, box):
-                out[nl] = out.get(nl, Frac(0)) + c
+                out[nl] = out.get(nl, 0) + c
         return out
 
     def schur_times(lam, mu):
         # Jacobi-Trudi: sigma_(a,b) = h_a h_b - h_{a+1} h_{b-1}, evaluated
         # against sigma_mu by Pieri moves (valid in the quotient ring)
         a, b = lam
-        start = {mu: Frac(1)}
+        start = {mu: 1}
         plus = pieri_vec(pieri_vec(start, b), a)
         minus = pieri_vec(pieri_vec(start, b - 1), a + 1)
         out = {}
         for k, c in plus.items():
-            out[k] = out.get(k, Frac(0)) + c
+            out[k] = out.get(k, 0) + c
         for k, c in minus.items():
-            out[k] = out.get(k, Frac(0)) - c
+            out[k] = out.get(k, 0) - c
         return {k: c for k, c in out.items() if c}
 
     products = {}
@@ -565,15 +599,11 @@ def ring_product(a: ChowRing, b: ChowRing, name=None) -> ChowRing:
     ring = ChowRing(name, a.dim + b.dim, basis, codim, table, deg)
 
     def embed(side: ChowRing, cls: ChowClass) -> ChowClass:
-        vec = [Frac(0)] * len(basis)
-        for idx, c in enumerate(cls.coeffs):
-            if not c:
-                continue
-            if side is a:
-                vec[idx * nb + b.index["1"]] = c
-            else:
-                vec[a.index["1"] * nb + idx] = c
-        return ChowClass(ring, vec)
+        if side is a:
+            nums = {i * nb + b.index["1"]: v for i, v in cls.nums.items()}
+        else:
+            nums = {a.index["1"] * nb + j: v for j, v in cls.nums.items()}
+        return ChowClass._build(ring, nums, cls.den)
 
     ring.factors = a.factors + b.factors
     ring._taut = [
@@ -614,21 +644,9 @@ def ring_blowup(n: int) -> ChowRing:
     }
     products[("h", "h")] = {"h2": 1}
     products[("h", "h2")] = {"pt": 1}
-    for i in range(1, n + 1):
+    for i in range(1, n + 1):  # every product not listed is zero
         products[(f"e{i}", f"e{i}")] = {f"e{i}2": 1}
         products[(f"e{i}", f"e{i}2")] = {"pt": 1}
-        products[("h", f"e{i}")] = {}
-        products[("h2", f"e{i}")] = {}
-        products[("h", f"e{i}2")] = {}
-        for j in range(i + 1, n + 1):
-            products[(f"e{i}", f"e{j}")] = {}
-            products[(f"e{i}", f"e{j}2")] = {}
-            products[(f"e{j}", f"e{i}2")] = {}
-        for j in range(1, n + 1):
-            if j != i:
-                products[(f"e{i}2", f"e{j}2")] = {}
-        products[(f"e{i}2", f"e{i}2")] = {}
-    products[("h2", "h2")] = {}
     deg = [0] * len(basis)
     deg[basis.index("pt")] = 1
     ring = ChowRing(
@@ -654,34 +672,30 @@ def blowup_line_ch(ring: ChowRing, h_coeff: int, e_coeffs) -> ChowClass:
     and D^3 = (b^3 + sum c_i^3) pt, so
     ch = 1 + D + (b^2 h^2 + sum c_i^2 e_i^2)/2 + (b^3 + sum c_i^3) pt/6.
     """
-    vec = [Frac(0)] * len(ring.basis)
     idx = ring.index
-    vec[idx["1"]] = Frac(1)
-    vec[idx["h"]] = Frac(h_coeff)
-    vec[idx["h2"]] = Frac(h_coeff * h_coeff, 2)
+    sixfold = {idx["1"]: 6, idx["h"]: 6 * h_coeff, idx["h2"]: 3 * h_coeff ** 2}
     cubes = h_coeff ** 3
     for i, c in enumerate(e_coeffs, start=1):
         if c:
-            vec[idx[f"e{i}"]] = Frac(c)
-            vec[idx[f"e{i}2"]] = Frac(c * c, 2)
+            sixfold[idx[f"e{i}"]] = 6 * c
+            sixfold[idx[f"e{i}2"]] = 3 * c * c
             cubes += c ** 3
-    vec[idx["pt"]] = Frac(cubes, 6)
-    return ChowClass(ring, vec)
+    sixfold[idx["pt"]] = cubes
+    return ChowClass._build(ring, sixfold, 6)
 
 
 def blowup_plane_ch(ring: ChowRing, i: int, j: int) -> ChowClass:
     """ch of the pushforward of O(j) from the i-th exceptional plane.
 
     With O(e_i) restricting to O(-1) on the plane:
-    e_i - (j + 1/2) e_i^2 + (j^2/2 + j/2 + 1/6) pt.
+    e_i - (j + 1/2) e_i^2 + (j^2/2 + j/2 + 1/6) pt, written over 6.
     """
-    return (
-        ring.monomial(f"e{i}")
-        - ring.monomial(f"e{i}2", 1).scale(Frac(2 * j + 1, 2))
-        + ring.monomial("pt").scale(
-            Frac(j * j, 2) + Frac(j, 2) + Frac(1, 6)
-        )
-    )
+    idx = ring.index
+    return ChowClass._build(ring, {
+        idx[f"e{i}"]: 6,
+        idx[f"e{i}2"]: -3 * (2 * j + 1),
+        idx["pt"]: 3 * j * j + 3 * j + 1,
+    }, 6)
 
 
 # --------------------------------------------------------------------------
@@ -696,39 +710,36 @@ class IntegralityError(ArithmeticError):
 class PairingForm:
     """Riemann-Roch against one weight class w as integer forms.
 
-    ``linear[k]`` is D T_k with T_k = deg(b_k . w . td), and ``rows[i]``
-    holds the nonzero D (-1)^codim(i) P_ij with P_ij = sum_m mul(i, j)[m] T_m,
-    all over the one denominator ``den`` = D.
+    ``linear[k]`` is D T_k with T_k = deg(b_k . w . td), and ``rows[i][j]``
+    is D (-1)^codim(i) P_ij with P_ij = sum_m mul(i, j)[m] T_m, all over the
+    one denominator ``den`` = D, in lowest terms.
     """
 
     __slots__ = ("ring", "den", "linear", "rows")
 
     def __init__(self, ring: ChowRing, weight: ChowClass | None):
         wtd = ring.todd if weight is None else weight * ring.todd
-        size = len(ring.basis)
+        size = range(len(ring.basis))
+        # the numerators of T and P over wtd.den, then cancelled
         top = [
             sum(
-                wtd.coeffs[m] * c * ring.deg[k]
-                for m in range(size)
+                v * c * ring.deg[k]
+                for m, v in wtd.nums.items()
                 for k, c in ring.mul_basis(i, m).items()
             )
-            for i in range(size)
+            for i in size
         ]
         mat = [
             [sum(c * top[m] for m, c in ring.mul_basis(i, j).items())
-             for j in range(size)]
-            for i in range(size)
+             for j in size]
+            for i in size
         ]
-        den = math.lcm(
-            *(x.denominator for x in top),
-            *(x.denominator for row in mat for x in row),
-        )
+        g = math.gcd(wtd.den, *top, *(x for row in mat for x in row))
         self.ring = ring
-        self.den = den
-        self.linear = [int(x * den) for x in top]
+        self.den = wtd.den // g
+        self.linear = [x // g for x in top]
         self.rows = [
-            [(j, int(x * den) * (-1) ** ring.codim[i])
-             for j, x in enumerate(row) if x]
+            [x // g * (-1) ** ring.codim[i] for x in row]
             for i, row in enumerate(mat)
         ]
 
@@ -742,27 +753,26 @@ class PairingForm:
         return val
 
     def chi(self, x: ChowClass) -> int:
-        nums, den = x.numerators()
-        total = sum(t * n for t, n in zip(self.linear, nums) if n)
-        return self._integer(total, den * self.den)
+        linear = self.linear
+        total = sum(linear[i] * v for i, v in x.nums.items())
+        return self._integer(total, x.den * self.den)
 
     def pair(self, a: ChowClass, b: ChowClass) -> int:
-        na, da = a.numerators()
-        nb, db = b.numerators()
+        rows = self.rows
+        theirs = b.nums.items()
         total = 0
-        for x, row in zip(na, self.rows):
-            if x:
-                total += x * sum(p * nb[j] for j, p in row)
-        return self._integer(total, da * db * self.den)
+        for i, x in a.nums.items():
+            row = rows[i]
+            total += x * sum(row[j] * y for j, y in theirs)
+        return self._integer(total, a.den * b.den * self.den)
 
 
 def _form(ring: ChowRing, weight: ChowClass | None) -> PairingForm:
     """The ring's Riemann-Roch form against ``weight`` (None for 1), built on
-    first use and cached on the ring."""
-    key = None if weight is None else weight.coeffs
-    form = ring._forms.get(key)
+    first use and cached on the ring under the weight class itself."""
+    form = ring._forms.get(weight)
     if form is None:
-        form = ring._forms[key] = PairingForm(ring, weight)
+        form = ring._forms[weight] = PairingForm(ring, weight)
     return form
 
 

@@ -323,12 +323,13 @@ def cmd_verify_all(args) -> int:
     axioms_used: set[str] = set()
 
     if args.catalog:
-        names = sorted(p.stem for p in Path(args.catalog).glob("*.sod"))
-        scenarios = [
-            replay_mod.parse_scenario((Path(args.catalog) / f"{n}.sod")
-                                      .read_text())
-            for n in names
-        ]
+        root = Path(args.catalog)
+        if not root.is_dir():
+            raise ValueError(f"scenario catalog {root} is not a directory")
+        paths = sorted(root.glob("*.sod"), key=lambda p: p.stem)
+        if not paths:
+            raise ValueError(f"scenario catalog {root} holds no .sod file")
+        scenarios = [replay_mod.parse_scenario(p.read_text()) for p in paths]
     else:
         scenarios = [replay_mod.load_scenario(n)
                      for n in replay_mod.SCENARIOS]

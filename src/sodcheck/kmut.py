@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .chow import euler_pairing
+from .chow import IntVector, euler_pairing
 
 
 # --------------------------------------------------------------------------
@@ -201,55 +201,30 @@ class AmbientLattice:
         return f"AmbientLattice({self.name})"
 
 
-class FormalClass:
-    """Integer combination of named generators of a formal lattice."""
+class FormalClass(IntVector):
+    """Integer combination of named generators of a formal lattice: an
+    `IntVector` keyed by generator name, over denominator 1 (a lattice
+    scales its classes by integer pairings only)."""
 
-    __slots__ = ("lattice", "coeffs")
+    __slots__ = ()
 
     def __init__(self, lattice: "FormalLattice", coeffs: dict[str, int]):
-        self.lattice = lattice
-        self.coeffs = {g: int(c) for g, c in coeffs.items() if c}
-        for g in self.coeffs:
+        self.home = lattice
+        self.nums = {g: int(c) for g, c in coeffs.items() if c}
+        self.den = 1
+        for g in self.nums:
             lattice.ensure(g)
 
-    def __add__(self, other: "FormalClass") -> "FormalClass":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return FormalClass(self.lattice, out)
-
-    def __sub__(self, other: "FormalClass") -> "FormalClass":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) - c
-        return FormalClass(self.lattice, out)
-
-    def __neg__(self) -> "FormalClass":
-        return FormalClass(self.lattice, {g: -c for g, c in self.coeffs.items()})
-
-    def scale(self, k: int) -> "FormalClass":
-        return FormalClass(
-            self.lattice, {g: k * c for g, c in self.coeffs.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormalClass)
-            and self.lattice is other.lattice
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.lattice), tuple(sorted(self.coeffs.items()))))
+    @property
+    def coeffs(self) -> dict[str, int]:
+        """Generator name -> nonzero integer coefficient."""
+        return self.nums
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for g, c in sorted(self.coeffs.items()):
+        for g, c in sorted(self.nums.items()):
             if c == 1:
                 parts.append(f"[{g}]")
             elif c == -1:
@@ -315,8 +290,8 @@ class FormalLattice:
 
     def pair(self, a: FormalClass, b: FormalClass) -> int:
         total = 0
-        for g, c in a.coeffs.items():
-            for h, d in b.coeffs.items():
+        for g, c in a.nums.items():
+            for h, d in b.nums.items():
                 total += c * d * self.gen_pair(g, h)
         return total
 
@@ -340,7 +315,7 @@ class FormalLattice:
                 vec[idx[g]] = c
             rows.append(vec)
         tvec = [0] * len(gens)
-        for g, c in target.coeffs.items():
+        for g, c in target.nums.items():
             tvec[idx[g]] = c
         return relation_membership(rows, tvec)
 
@@ -348,7 +323,7 @@ class FormalLattice:
         if self._serre_name is None:
             raise LookupError(f"{self.name} has no Serre-twist action")
         out: dict[str, int] = {}
-        for g, c in a.coeffs.items():
+        for g, c in a.nums.items():
             ng = self._serre_name(g, inverse)
             out[ng] = out.get(ng, 0) + c
         return FormalClass(self, out)

@@ -35,7 +35,7 @@ File grammar (``#`` starts a comment; indentation marks membership)::
       block NAME "DISPLAY"            # abstract subcategory
     step ID KIND key=value ..         # sublines attach to the step
 
-Step forms: ``step ID serre left|right K``;
+Step forms: ``step ID serre left|right K`` (1 <= K <= current entries);
 ``step ID pass_left|pass_right movers=SEL to=front|end|after:SEL|before:SEL``;
 ``step ID mutate_left|mutate_right mover=SEL through=SEL``;
 ``step ID identify from=STEPID|entry=SEL as=LABEL parity=0|1``;
@@ -71,12 +71,16 @@ class ReplayError(Exception):
 _MUTANT = "mut:"
 
 
-class UnidentifiedResult(ReplayError):
-    """A step used a mutation result that no identify step has named.
+class MalformedScenario(ReplayError):
+    """A step the scenario cannot mean, found while running it.
 
     The scenario is malformed rather than failing, so the runner lets this
     error through and the CLI reports it as bad input.
     """
+
+
+class UnidentifiedResult(MalformedScenario):
+    """A step used a mutation result that no identify step has named."""
 
     def __init__(self, name: str):
         sid = name[len(_MUTANT):].split(":")[0]
@@ -226,6 +230,21 @@ def _node_count(text: str) -> int:
     return nodes
 
 
+def _serre_args(args: dict) -> tuple[str, int]:
+    """The side and entry count of a ``serre left|right K`` step."""
+    pos = args.get("_pos", [])
+    if len(pos) != 2 or pos[0] not in ("left", "right"):
+        raise ReplayError(
+            f"serre takes 'left|right K', got {' '.join(pos)!r}"
+        )
+    count = int(pos[1]) if re.fullmatch(r"\d+", pos[1]) else 0
+    if count < 1:
+        raise ReplayError(
+            f"serre count must be an integer >= 1, got {pos[1]!r}"
+        )
+    return pos[0], count
+
+
 def parse_scenario(text: str) -> Scenario:
     name = variety_name = title = None
     nodes = 10
@@ -287,6 +306,8 @@ def parse_scenario(text: str) -> Scenario:
                         args[k] = v
                     else:
                         args.setdefault("_pos", []).append(token)
+                if m.group(2) == "serre":
+                    _serre_args(args)
                 steps.append(Step(m.group(1), m.group(2), args, []))
                 section = "step"
         except ReplayError as err:
@@ -542,7 +563,7 @@ class _Runner:
             self.emit(f"scenario {sc.name}: PASS")
             return ReplayResult(sc.name, True, self.out,
                                 set(self.axioms_used), self.state)
-        except UnidentifiedResult:
+        except MalformedScenario:
             raise
         except ReplayError as err:
             self.emit(f"scenario {sc.name}: FAIL — {err}")
@@ -557,7 +578,12 @@ class _Runner:
 
     # serre left|right K
     def step_serre(self, step: Step) -> None:
-        side, count = step.args["_pos"][0], int(step.args["_pos"][1])
+        side, count = _serre_args(step.args)
+        if count > len(self.state):
+            raise MalformedScenario(
+                f"step {step.sid}: serre {side} {count} wraps more entries "
+                f"than the {len(self.state)} in the decomposition"
+            )
         self.emit(
             f"step {step.sid}: wrap {count} {'rightmost' if side == 'left' else 'leftmost'}"
             f" entr{'y' if count == 1 else 'ies'} around via the "
@@ -566,11 +592,9 @@ class _Runner:
         if side == "left":
             moved, rest = self.state[-count:], self.state[:-count]
             self.state = [self._serre_entry(e, False) for e in moved] + rest
-        elif side == "right":
+        else:
             moved, rest = self.state[:count], self.state[count:]
             self.state = rest + [self._serre_entry(e, True) for e in moved]
-        else:
-            raise ReplayError(f"serre side must be left/right, got {side}")
 
     def _serre_entry(self, entry, inverse: bool):
         if isinstance(entry, Block):

@@ -1335,12 +1335,6 @@ class CoverReport:
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.items)
 
-    def describe(self) -> str:
-        return "\n".join(
-            f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
-            for name, ok, detail in self.items
-        )
-
 
 def double_cover_check(base_name: str, polarization: str,
                        collection, nodes: int = 10) -> CoverReport:
@@ -1511,13 +1505,6 @@ class ShadowReport:
     @property
     def passed(self) -> bool:
         return all(ok for _, _, _, ok in self.rows)
-
-    def describe(self) -> str:
-        return "\n".join(
-            f"{'PASS' if ok else 'FAIL'} {label}: fourfold {lhs}, "
-            f"ideal side {rhs}"
-            for label, lhs, rhs, ok in self.rows
-        )
 
 
 def projection_shadow_report() -> ShadowReport:

@@ -321,3 +321,16 @@ def test_verify_all_from_a_catalog_directory(tmp_path, capsys):
     # scenarios run in file-name order here, in catalog order without
     # --catalog, so only the set of lines is the same
     assert sorted(out.splitlines()) == sorted(VERIFY_ALL.splitlines())
+
+
+@pytest.mark.parametrize("make", ["missing", "empty"])
+def test_verify_all_needs_a_catalog_with_scenarios(tmp_path, capsys, make):
+    root = tmp_path / "catalog"
+    if make == "empty":
+        root.mkdir()
+        (root / "notes.txt").write_text("no scenarios here\n")
+    assert main(["--catalog", str(root), "verify-all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert str(root) in err

@@ -6,9 +6,10 @@ taken by plain ring products, on integer combinations of genuine characters
 (bundles on the homogeneous rings; line bundles and exceptional-plane
 sheaves on the blowups), together with bilinearity, Serre duality, the
 closed-form blowup line characters, the fourfold's single Koszul-weight
-form, the integer numerators each class keeps after its first pairing and
-the integrality guard on every route.  Property runs are derandomized, so
-the suite stays deterministic.
+form, the integer form each class stores (cross-checked against plain
+`Fraction` arithmetic on the dense coefficient vectors) and the integrality
+guard on every route.  Property runs are derandomized, so the suite stays
+deterministic.
 """
 
 import math
@@ -162,7 +163,7 @@ def test_fourfold_form_matches_slot_sum():
             assert four._ambient_chi(ka, kb) == want
 
 
-# ------------------------------------------------- kept integer numerators
+# ---------------------------------------------- the stored integer form
 
 def _lcm_form(cls):
     den = math.lcm(*(c.denominator for c in cls.coeffs))
@@ -182,29 +183,103 @@ def _seeded_classes(rng, ring, count):
     return out
 
 
+def _ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _ref_scale(k, x):
+    return tuple(F(k) * a for a in x)
+
+
+def _ref_mul(ring, x, y):
+    out = [F(0)] * len(ring.basis)
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if not b:
+                continue
+            for k, c in ring.mul_basis(i, j).items():
+                out[k] += a * b * c
+    return tuple(out)
+
+
+def _ref_dual(ring, x):
+    return tuple(-c if ring.codim[i] % 2 else c for i, c in enumerate(x))
+
+
+def _ref_adams(ring, x, k):
+    return tuple(c * k ** ring.codim[i] for i, c in enumerate(x))
+
+
+def _ref_exp(ring, x):
+    out = power = ring.one().coeffs
+    fact = 1
+    for n in range(1, ring.dim + 1):
+        power = _ref_mul(ring, power, x)
+        fact *= n
+        out = _ref_add(out, _ref_scale(F(1, fact), power))
+    return out
+
+
+def _lowest_terms(cls):
+    nums, den = cls.numerators()
+    return den > 0 and math.gcd(den, *nums) == 1 and (nums, den) == _lcm_form(
+        cls
+    )
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_integer_arithmetic_matches_fraction_reference(name):
+    ring = RINGS[name]()
+    rng = random.Random(1600)
+    classes = _seeded_classes(rng, ring, 8)
+    for a, b in zip(classes, classes[1:] + classes[:1]):
+        x, y = a.coeffs, b.coeffs
+        k = F(rng.randint(-6, 6), rng.randint(1, 4))
+        m = rng.randint(-6, 6)
+        nilpotent = ChowClass(
+            ring, [c if ring.codim[i] else 0 for i, c in enumerate(x)]
+        )
+        got_want = [
+            (a * b, _ref_mul(ring, x, y)),
+            (a + b, _ref_add(x, y)),
+            (a - b, _ref_add(x, _ref_scale(-1, y))),
+            (a.scale(k), _ref_scale(k, x)),
+            (a.scale(m), _ref_scale(m, x)),
+            (a.dual(), _ref_dual(ring, x)),
+            (nilpotent.exp(), _ref_exp(ring, nilpotent.coeffs)),
+        ]
+        got_want += [(a.adams(j), _ref_adams(ring, x, j)) for j in (-2, 0, 3)]
+        for got, want in got_want:
+            assert got.coeffs == want
+            assert _lowest_terms(got)
+            assert got == ChowClass(ring, got.coeffs)
+            assert hash(got) == hash(ChowClass(ring, got.coeffs))
+
+
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_pairing_keeps_each_class_numerators(name):
     ring = RINGS[name]()
     rng = random.Random(1515)
     for a, b in zip(*(_seeded_classes(rng, ring, 12) for _ in range(2))):
         a_copy, b_copy = ChowClass(ring, a.coeffs), ChowClass(ring, b.coeffs)
-        assert a._numerators is None and b._numerators is None
+        stored = a.numerators()
+        assert stored == _lcm_form(a) and b.numerators() == _lcm_form(b)
+        nums, den = stored
+        assert type(nums) is tuple and type(den) is int
+        assert all(type(x) is int for x in nums)
         try:
             first = euler_pairing(ring, a, b)
         except IntegralityError:
             first = None  # random rationals rarely pair to an integer
-        kept = a._numerators
-        assert kept == _lcm_form(a) and b._numerators == _lcm_form(b)
-        nums, den = kept
-        assert type(nums) is tuple and type(den) is int
-        assert all(type(x) is int for x in nums)
         try:
             second = euler_pairing(ring, a, b)
         except IntegralityError:
             second = None
-        assert a._numerators is kept and a.numerators() is kept
+        assert a.numerators() == stored  # pairing leaves a class unchanged
         assert first == second
-        # a class never paired before reads the same as the filled one
+        # an equal class built afresh pairs the same
         try:
             fresh = euler_pairing(ring, a_copy, b_copy)
         except IntegralityError:

@@ -234,6 +234,31 @@ expect:
     assert lines[2] == "< O_E1, O_E2 >"
 
 
+def test_right_mutation_undoes_the_left_one_on_the_blowup():
+    # a2/a3 left-mutate O(-3h) through the twisted plane family into
+    # O(-3h+e); right-mutating that back through the family gives O(-3h)
+    text = load_scenario_text("blown-p3-doubling")
+    head = text[:text.index("step a4")]
+    res = run_text(head + """
+step r1 mutate_right mover=O(-3h+e) through=family:E1
+step r2 identify from=r1 as=O(-3h) parity=0
+expect:
+  family E1: O_E{i}(-1)
+  entry O(-3h)
+  entry O(-2h)
+  entry O(-h)
+  entry O
+  family E0: O_E{i}
+""")
+    assert res.passed, res.text()
+    text = res.text()
+    assert "step r1: right-mutate O(-3h+e) through {O_E{i}(-1)}" in text
+    for i in range(1, 11):
+        assert (f"Ext(O(-3h+e), O_E{i}(-1)) = C[0] [RULE] chi 1 == lattice 1"
+                in text)
+    assert "step r2: identify the result of r1 as O(-3h)" in text
+
+
 def test_twist_all_step():
     res = run_text("""
 scenario twist-all
@@ -406,6 +431,38 @@ expect:
 """)
     assert not res.passed
     assert "unknown step kind" in res.text()
+
+
+@pytest.mark.parametrize("step", [
+    "serre left 0", "serre right -1", "serre left two", "serre left",
+    "serre up 1", "serre left 1 2",
+])
+def test_serre_side_and_count_are_checked_when_parsed(step):
+    with pytest.raises(ReplayError, match="^line 3: serre "):
+        parse_scenario(f"scenario s\nvariety P3\nstep s1 {step}\n")
+
+
+def test_serre_counts_out_of_range_are_input_errors(tmp_path, capsys):
+    # after b8 of gr-to-clifford the decomposition has 7 entries; neither
+    # wrap may pass, nor be described as wrapping 0 or 12 of them
+    text = load_scenario_text("gr-to-clifford")
+    after = "step b8 pass_right movers=block:SurfD to=end\n"
+    assert after in text
+    line = text[:text.index(after)].count("\n") + 2
+    path = tmp_path / "wrap.sod"
+    path.write_text(text.replace(
+        after, after + "step z1 serre left 0\nstep z2 serre right 12\n"))
+    assert main(["replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: line {line}: serre count must be an integer "
+                   ">= 1, got '0'\n")
+    path.write_text(text.replace(after, after + "step z2 serre right 12\n"))
+    assert main(["replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: step z2: serre right 12 wraps more entries than "
+                   "the 7 in the decomposition\n")
 
 
 def test_parse_requires_name_and_variety():
