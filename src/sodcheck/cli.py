@@ -31,6 +31,7 @@ from .kmut import (
 from .varieties import (
     AXIOMS,
     CHI_ONLY,
+    DEFAULT_NODES,
     VARIETY_NAMES,
     axiom_statement,
     check_split_certificate,
@@ -38,10 +39,6 @@ from .varieties import (
     get_variety,
     projection_shadow_report,
 )
-
-
-#: blowup point count when --nodes is not given
-DEFAULT_NODES = 10
 
 
 def _fail(msg: str) -> int:
@@ -476,6 +473,8 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, LookupError, ArithmeticError, OSError,
             replay_mod.ReplayError) as err:
+        if isinstance(err, KeyError) and err.args:
+            return _fail(str(err.args[0]))  # str() would quote the message
         return _fail(str(err))
 
 

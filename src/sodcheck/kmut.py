@@ -1,13 +1,12 @@
 """K-theory lattices, Smith normal form, and the mutation calculus.
 
-Two lattice flavors share one interface (``pair``, ``eq``, ``serre``):
+Two lattice flavors share one interface (``pair``, ``eq``, ``zero``):
 
 * an ambient lattice presented by a Chow ring -- classes are Chern
-  characters, the pairing is the exact Euler pairing, and the Serre twist
-  multiplies by the character of the canonical bundle;
+  characters and the pairing is the exact Euler pairing;
 * a formal lattice on named generators -- the pairing is supplied by an
-  oracle (typically backed by cohomology rules), optional integral relations
-  identify classes, and the Serre twist acts on generator names.
+  oracle (typically backed by cohomology rules) and optional integral
+  relations identify classes.
 
 Mutations are the universal K-class formulas
 
@@ -188,12 +187,6 @@ class AmbientLattice:
     def eq(self, a, b) -> bool:
         return a == b
 
-    def serre(self, a, inverse: bool = False):
-        tw = self.ring.canonical_ch
-        if inverse:
-            tw = tw.dual()  # exp(-c1) -> exp(c1): odd parts flip sign
-        return a * tw
-
     def zero(self):
         return self.ring.zero()
 
@@ -241,21 +234,18 @@ class FormalLattice:
     (or None when genuinely unknown, which raises at use).  Optional
     ``relations`` (dicts generator -> coefficient) define identifications;
     class equality is then membership of the difference in their span,
-    decided by Smith normal form.  ``serre_name(name, inverse)`` gives the
-    Serre-twist action on generators.
+    decided by Smith normal form.
     """
 
     kind = "formal"
 
     def __init__(self, name: str,
                  pair_oracle: Callable[[str, str], int | None],
-                 serre_name: Callable[[str, bool], str] | None = None,
                  relations: Iterable[dict[str, int]] = ()):
         self.name = name
         self.generators: list[str] = []
         self._index: dict[str, int] = {}
         self._oracle = pair_oracle
-        self._serre_name = serre_name
         self.relations: list[dict[str, int]] = [dict(r) for r in relations]
         self._pair_cache: dict[tuple[str, str], int] = {}
         for r in self.relations:
@@ -318,15 +308,6 @@ class FormalLattice:
         for g, c in target.nums.items():
             tvec[idx[g]] = c
         return relation_membership(rows, tvec)
-
-    def serre(self, a: FormalClass, inverse: bool = False) -> FormalClass:
-        if self._serre_name is None:
-            raise LookupError(f"{self.name} has no Serre-twist action")
-        out: dict[str, int] = {}
-        for g, c in a.nums.items():
-            ng = self._serre_name(g, inverse)
-            out[ng] = out.get(ng, 0) + c
-        return FormalClass(self, out)
 
     def __repr__(self) -> str:
         return f"FormalLattice({self.name}, {len(self.generators)} generators)"

@@ -57,6 +57,7 @@ from .varieties import (
     BBW,
     RULE,
     AXIOM,
+    DEFAULT_NODES,
     ExtAnswer,
     check_split_certificate,
     get_variety,
@@ -101,10 +102,14 @@ def _known(label: str) -> str:
 # entries
 
 class Concrete:
-    __slots__ = ("label", "parity", "cls", "index")
+    """A named object: its variety key, its label (the key, written) and
+    its signed class.  A mutation result has no key until identified."""
 
-    def __init__(self, label, parity, cls, index=None):
+    __slots__ = ("label", "key", "parity", "cls", "index")
+
+    def __init__(self, label, key, parity, cls, index=None):
         self.label = label
+        self.key = key
         self.parity = parity
         self.cls = cls
         self.index = index
@@ -245,9 +250,33 @@ def _serre_args(args: dict) -> tuple[str, int]:
     return pos[0], count
 
 
+#: required ``key=`` arguments of each step kind
+_REQUIRED = {
+    "pass_left": ("movers", "to"), "pass_right": ("movers", "to"),
+    "mutate_left": ("mover", "through"), "mutate_right": ("mover", "through"),
+    "twist_all": ("by",), "identify": ("as",), "insert_block": ("target",),
+}
+
+
+def _check_args(kind: str, args: dict) -> None:
+    """Reject a known step kind's missing or bad arguments."""
+    if kind == "serre":
+        _serre_args(args)
+    for name in _REQUIRED.get(kind, ()):
+        if name not in args:
+            raise ReplayError(f"{kind} needs {name}=")
+    if kind == "identify":
+        if ("from" in args) == ("entry" in args):
+            raise ReplayError("identify needs exactly one of from= and entry=")
+        if args.get("parity", "0") not in ("0", "1"):
+            raise ReplayError(
+                f"identify parity must be 0 or 1, got {args['parity']!r}"
+            )
+
+
 def parse_scenario(text: str) -> Scenario:
     name = variety_name = title = None
-    nodes = 10
+    nodes = DEFAULT_NODES
     allowed: set[str] = set()
     initial: list = []
     initial_axioms: list[str] = []
@@ -306,8 +335,7 @@ def parse_scenario(text: str) -> Scenario:
                         args[k] = v
                     else:
                         args.setdefault("_pos", []).append(token)
-                if m.group(2) == "serre":
-                    _serre_args(args)
+                _check_args(m.group(2), args)
                 steps.append(Step(m.group(1), m.group(2), args, []))
                 section = "step"
         except ReplayError as err:
@@ -361,15 +389,12 @@ class _Runner:
             self.axioms_used.add(ax)
 
     def make_concrete(self, label: str, parity: int, index=None) -> Concrete:
-        canon = self.variety.canon(label)
-        self.use_axioms(self.variety.resolve_axioms(canon),
-                        f"resolving {canon}")
-        return Concrete(canon, parity, self._signed_class(canon, parity),
-                        index)
-
-    def _signed_class(self, label: str, parity: int):
-        cls = self.variety.kclass(label)
-        return cls.scale(-1) if parity % 2 else cls
+        key = self.variety.parse(label)
+        canon = self.variety.format(key)
+        self.use_axioms(self.variety._axioms(key), f"resolving {canon}")
+        cls = self.variety._class(key)
+        return Concrete(canon, key, parity,
+                        cls.scale(-1) if parity % 2 else cls, index)
 
     def build_entries(self, decls) -> list:
         out = []
@@ -405,10 +430,10 @@ class _Runner:
                 if isinstance(e, Family) and e.name == name:
                     return i
             raise ReplayError(f"no family named {name}")
-        canon = self.variety.canon(_known(sel))
+        key = self.variety.parse(_known(sel))
         hits = [
             i for i, e in enumerate(self.state)
-            if isinstance(e, Concrete) and e.label == canon
+            if isinstance(e, Concrete) and e.key == key
         ]
         if len(hits) != 1:
             raise ReplayError(
@@ -459,7 +484,7 @@ class _Runner:
         elif ans.axioms:
             self.use_axioms(ans.axioms, f"Ext({src.label}, {dst.label})")
         lattice_chi = self.lattice.pair(
-            self._signed_class(src.label, 0), self._signed_class(dst.label, 0)
+            self.variety._class(src.key), self.variety._class(dst.key)
         )
         if ans.chi != lattice_chi:
             raise ReplayError(
@@ -589,56 +614,45 @@ class _Runner:
             f" entr{'y' if count == 1 else 'ies'} around via the "
             f"{'canonical' if side == 'left' else 'anticanonical'} twist"
         )
+        # the wrap twists by the canonical bundle, or by its inverse
+        line_key = self.variety._line(self.variety.serre[side == "right"])
         if side == "left":
             moved, rest = self.state[-count:], self.state[:-count]
-            self.state = [self._serre_entry(e, False) for e in moved] + rest
+            self.state = [self._twist_entry(e, line_key) for e in moved] + rest
         else:
             moved, rest = self.state[:count], self.state[count:]
-            self.state = rest + [self._serre_entry(e, True) for e in moved]
-
-    def _serre_entry(self, entry, inverse: bool):
-        if isinstance(entry, Block):
-            entry.version += 1
-            return entry
-        if isinstance(entry, Family):
-            entry.members = [
-                self._serre_concrete(m, inverse) for m in entry.members
-            ]
-            return entry
-        return self._serre_concrete(entry, inverse)
-
-    def _serre_concrete(self, e: Concrete, inverse: bool) -> Concrete:
-        label = self.variety.serre_label(_known(e.label), inverse)
-        cls = self.lattice.serre(e.cls, inverse)
-        return Concrete(label, e.parity, cls, e.index)
+            self.state = rest + [self._twist_entry(e, line_key) for e in moved]
 
     # twist_all by=LABEL
     def step_twist_all(self, step: Step) -> None:
         by = step.args["by"]
         self.emit(f"step {step.sid}: twist the whole decomposition by {by}")
-        self.state = [self._twist_entry(e, by) for e in self.state]
+        line_key = self.variety._line(by)
+        self.state = [self._twist_entry(e, line_key) for e in self.state]
 
-    def _twist_entry(self, entry, by: str):
+    def _twist_entry(self, entry, line_key):
         if isinstance(entry, Block):
             entry.version += 1
             return entry
         if isinstance(entry, Family):
             entry.members = [
-                self._twist_concrete(m, by) for m in entry.members
+                self._twist_concrete(m, line_key) for m in entry.members
             ]
             return entry
-        return self._twist_concrete(entry, by)
+        return self._twist_concrete(entry, line_key)
 
-    def _twist_concrete(self, e: Concrete, by: str) -> Concrete:
-        label = self.variety.twist_label(_known(e.label), by)
-        if isinstance(e.cls, FormalClass):
+    def _twist_concrete(self, e: Concrete, line_key) -> Concrete:
+        v = self.variety
+        _known(e.label)  # a mutation result has no key to twist
+        key = v.twist(e.key, line_key)
+        if isinstance(e.cls, FormalClass):  # generators are label text
             cls = self.lattice.combo({
-                self.variety.twist_label(g, by): c
+                v.format(v.twist(v.parse(g), line_key)): c
                 for g, c in e.cls.coeffs.items()
             })
         else:
-            cls = e.cls * self.variety.kclass(by)
-        return Concrete(label, e.parity, cls, e.index)
+            cls = e.cls * v._class(line_key)
+        return Concrete(v.format(key), key, e.parity, cls, e.index)
 
     # pass_left movers=SEL to=front|after:SEL|before:SEL
     def step_pass_left(self, step: Step) -> None:
@@ -765,7 +779,7 @@ class _Runner:
                     f"{_MUTANT}{step.sid}" + (
                         f":{mem.index}" if mem.index is not None else ""
                     ),
-                    mem.parity, cls, mem.index,
+                    None, mem.parity, cls, mem.index,
                 ))
         if not nonzero:
             raise ReplayError(
@@ -813,17 +827,13 @@ class _Runner:
         for mem in results:
             label = template.replace("{i}", str(mem.index)) \
                 if mem.index is not None else template
-            canon = self.variety.canon(label)
-            self.use_axioms(self.variety.resolve_axioms(canon),
-                            f"resolving {canon}")
-            want = self._signed_class(canon, parity)
-            if not self.lattice.eq(mem.cls, want):
+            named = self.make_concrete(label, parity)
+            if not self.lattice.eq(mem.cls, named.cls):
                 raise ReplayError(
                     f"class of {mem.label} does not match "
-                    f"{'-' if parity % 2 else ''}[{canon}]"
+                    f"{'-' if parity % 2 else ''}[{named.label}]"
                 )
-            mem.label = canon
-            mem.parity = parity
+            mem.label, mem.key, mem.parity = named.label, named.key, parity
         self.emit(
             f"    {len(results)} class identit"
             f"{'y' if len(results) == 1 else 'ies'} verified in the lattice"

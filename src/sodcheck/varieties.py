@@ -71,7 +71,13 @@ from .chow import (
     ring_gr24_p3,
     ring_p3,
 )
-from .kmut import AmbientLattice, FormalLattice, relation_membership
+from .kmut import (
+    AmbientLattice,
+    FormalLattice,
+    gram,
+    is_unitriangular,
+    relation_membership,
+)
 
 P2 = HomFactor(1, 3, "P2")
 P1 = HomFactor(1, 2, "P1")
@@ -81,6 +87,9 @@ RULE = "RULE"
 AXIOM = "AXIOM"
 CHI_ONLY = "CHI-ONLY"
 UNCHECKED = "UNCHECKED"
+
+#: blowup point count when none is given
+DEFAULT_NODES = 10
 
 
 # --------------------------------------------------------------------------
@@ -469,19 +478,27 @@ class Variety:
     def chi(self, a: str, b: str) -> int:
         return self.lattice.pair(self.kclass(a), self.kclass(b))
 
-    def twist_label(self, label: str, by: str) -> str:
-        line_key = self.parse(by)
-        if not self.is_line(line_key):
+    def _line(self, label: str):
+        """The key of a line-bundle label, the only thing one twists by."""
+        key = self.parse(label)
+        if not self.is_line(key):
             raise ValueError("can only twist by a line-bundle label")
+        return key
+
+    def twist_label(self, label: str, by: str) -> str:
+        line_key = self._line(by)
         return self.format(self.twist(self.parse(label), line_key))
 
     def serre_label(self, label: str, inverse: bool = False) -> str:
         """Twist by the canonical bundle, or by its inverse."""
         return self.twist_label(label, self.serre[inverse])
 
+    def _axioms(self, key) -> tuple[str, ...]:
+        return ()
+
     def resolve_axioms(self, label: str) -> tuple[str, ...]:
         """Imported statements needed to even name this label's class."""
-        return ()
+        return self._axioms(self.parse(label))
 
     def __repr__(self) -> str:
         return f"<variety {self.name}>"
@@ -585,9 +602,7 @@ class NetFourfold(Variety):
             self._om_weight += -slot if p % 2 else slot
         self._ambient_chs: dict = {}
         self._bundles: dict = {}
-        self.lattice = FormalLattice(
-            self.name, self._pair_oracle, self.serre_label
-        )
+        self.lattice = FormalLattice(self.name, self._pair_oracle)
 
     # ---- labels
 
@@ -629,8 +644,8 @@ class NetFourfold(Variety):
         tag, kind, g, h = key
         return (tag, kind, g + dg, h + dh)
 
-    def resolve_axioms(self, label: str) -> tuple[str, ...]:
-        return ("clifford_modules",) if self.parse(label)[0] == "cliff" else ()
+    def _axioms(self, key) -> tuple[str, ...]:
+        return ("clifford_modules",) if key[0] == "cliff" else ()
 
     # ---- classes
 
@@ -1016,8 +1031,7 @@ class CoverBlowup(Variety):
             for i in range(nodes)
         ]
         self.lattice = FormalLattice(
-            self.name, self._pair_oracle, self.serre_label,
-            relations=relations,
+            self.name, self._pair_oracle, relations=relations
         )
 
     # ---- labels
@@ -1178,7 +1192,7 @@ VARIETY_NAMES = (
 _VARIETY_CACHE: dict[tuple[str, int], Variety] = {}
 
 
-def get_variety(name: str, nodes: int = 10) -> Variety:
+def get_variety(name: str, nodes: int = DEFAULT_NODES) -> Variety:
     key = (name, nodes)
     if key in _VARIETY_CACHE:
         return _VARIETY_CACHE[key]
@@ -1336,8 +1350,8 @@ class CoverReport:
         return all(ok for _, ok, _ in self.items)
 
 
-def double_cover_check(base_name: str, polarization: str,
-                       collection, nodes: int = 10) -> CoverReport:
+def double_cover_check(base_name: str, polarization: str, collection,
+                       nodes: int = DEFAULT_NODES) -> CoverReport:
     """Numerical certificate for pulling a collection through a double cover.
 
     Checks, on the base: (i) the canonical class is minus twice the given
@@ -1349,9 +1363,7 @@ def double_cover_check(base_name: str, polarization: str,
     labels are parsed once; all twisting and pairing happens on keys.
     """
     base = get_variety(base_name, nodes)
-    pol = base.parse(polarization)
-    if not base.is_line(pol):
-        raise ValueError("can only twist by a line-bundle label")
+    pol = base._line(polarization)
     keys = [base.parse(c) for c in collection]
     for key in keys:
         _negate_line(key)  # every member must be a line bundle
@@ -1385,15 +1397,9 @@ def double_cover_check(base_name: str, polarization: str,
                     continue
                 if not good:
                     graded_ok = False
-    gram_ok = True
-    cls = [base._class(k) for k in doubled]
-    for i in range(len(cls)):
-        for j in range(len(cls)):
-            val = base.lattice.pair(cls[i], cls[j])
-            if i == j and val != 1:
-                gram_ok = False
-            if i > j and val != 0:
-                gram_ok = False
+    gram_ok = is_unitriangular(
+        gram(base.lattice, [base._class(k) for k in doubled])
+    )
     items.append((
         "doubled collection is numerically exceptional on the base",
         graded_ok and gram_ok, f"{len(doubled)} classes, {detail}",
@@ -1407,14 +1413,7 @@ def double_cover_check(base_name: str, polarization: str,
         )
         return direct + down
 
-    tri_ok = True
-    for i in range(len(keys)):
-        for j in range(len(keys)):
-            val = cover_chi(keys[i], keys[j])
-            if i == j and val != 1:
-                tri_ok = False
-            if i > j and val != 0:
-                tri_ok = False
+    tri_ok = is_unitriangular([[cover_chi(x, y) for y in keys] for x in keys])
     items.append((
         "cover pairing is unitriangular on the collection", tri_ok,
         f"{len(collection)} objects",

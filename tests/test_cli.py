@@ -43,6 +43,13 @@ def test_unknown_space_is_an_input_error(capsys):
     assert code == 2
 
 
+def test_unknown_variety_message_is_not_quoted(capsys):
+    assert main(["chi", "nosuch", "O"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unknown variety 'nosuch'\n"
+
+
 def test_bad_label_is_an_input_error(capsys):
     code, _ = run(capsys, "bbw", "Gr24", "O(-q)")
     assert code == 2

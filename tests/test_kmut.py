@@ -359,22 +359,6 @@ def test_twist_commutes_with_mutation():
         assert mutate_left(lat, e, f) * lb == mutate_left(lat, e * lb, f * lb)
 
 
-def test_serre_twist_ambient():
-    # tensoring by the canonical bundle: O(t) -> O(t-4) on the three-space
-    for t in range(-2, 3):
-        assert LAT_P3.serre(p3_line(t)) == p3_line(t - 4)
-        assert LAT_P3.serre(p3_line(t), inverse=True) == p3_line(t + 4)
-    rng = random.Random(17)
-    for _ in range(30):
-        c = random_class(rng, LAT_GR)
-        assert LAT_GR.serre(LAT_GR.serre(c), inverse=True) == c
-    # numerical Serre duality through the lattice interface
-    for _ in range(30):
-        a = random_class(rng, LAT_GR)
-        b = random_class(rng, LAT_GR)
-        assert LAT_GR.pair(a, b) == LAT_GR.pair(b, LAT_GR.serre(a))
-
-
 # --------------------------------------------------------------------------
 # formal lattices
 
@@ -427,17 +411,4 @@ def test_formal_relations_equality():
     ok, _ = lat.membership((lhs - lat.cls("Q")) + lat.cls("O"))
     assert not ok
 
-
-def test_formal_serre_names():
-    def serre_name(g, inverse):
-        t = int(g.split("(")[1].rstrip(")"))
-        return f"O({t + (1 if inverse else -1)})"
-
-    lat = FormalLattice("twisty", _orthonormal_oracle, serre_name=serre_name)
-    c = lat.cls("O(0)") + lat.cls("O(2)").scale(3)
-    assert lat.serre(c) == lat.cls("O(-1)") + lat.cls("O(1)").scale(3)
-    assert lat.serre(lat.serre(c), inverse=True) == c
-    bare = FormalLattice("bare", _orthonormal_oracle)
-    with pytest.raises(LookupError):
-        bare.serre(bare.cls("a"))
 

@@ -442,6 +442,58 @@ def test_serre_side_and_count_are_checked_when_parsed(step):
         parse_scenario(f"scenario s\nvariety P3\nstep s1 {step}\n")
 
 
+_NO_EXACTLY_ONE = "identify needs exactly one of from= and entry="
+
+
+@pytest.mark.parametrize("step, message", [
+    ("pass_left movers=O", "pass_left needs to="),
+    ("pass_right to=end", "pass_right needs movers="),
+    ("mutate_left mover=O", "mutate_left needs through="),
+    ("mutate_right through=O", "mutate_right needs mover="),
+    ("twist_all", "twist_all needs by="),
+    ("identify from=s0", "identify needs as="),
+    ("identify as=O", _NO_EXACTLY_ONE),
+    ("identify from=s0 entry=O as=O", _NO_EXACTLY_ONE),
+    ("identify from=s0 as=O parity=x",
+     "identify parity must be 0 or 1, got 'x'"),
+    ("identify entry=O as=O parity=2",
+     "identify parity must be 0 or 1, got '2'"),
+    ("insert_block axioms=clifford_modules", "insert_block needs target="),
+])
+def test_step_arguments_are_checked_when_parsed(step, message):
+    with pytest.raises(ReplayError) as err:
+        parse_scenario(f"scenario s\nvariety P3\nstep s1 {step}\n")
+    assert str(err.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("gr-to-clifford", "step b8 pass_right movers=block:SurfD to=end",
+     "step b8 pass_right movers=block:SurfD", "pass_right needs to="),
+    ("enriques-split", "step c2 twist_all by=O(g)", "step c2 twist_all",
+     "twist_all needs by="),
+    ("gr-to-clifford", "step b4 mutate_left mover=O(-g) through=O(-h)",
+     "step b4 mutate_left mover=O(-g)", "mutate_left needs through="),
+    ("gr-to-clifford", "step b5 identify from=b4 as=Cliff_0(-g) parity=0",
+     "step b5 identify from=b4 parity=0", "identify needs as="),
+    ("gr-to-clifford", "step b5 identify from=b4 as=Cliff_0(-g) parity=0",
+     "step b5 identify as=Cliff_0(-g) parity=0", _NO_EXACTLY_ONE),
+    ("gr-to-clifford", "step b5 identify from=b4 as=Cliff_0(-g) parity=0",
+     "step b5 identify from=b4 as=Cliff_0(-g) parity=x",
+     "identify parity must be 0 or 1, got 'x'"),
+])
+def test_missing_step_arguments_name_the_line(tmp_path, capsys, name, old,
+                                              new, message):
+    text = load_scenario_text(name)
+    assert old + "\n" in text
+    line = text[:text.index(old)].count("\n") + 1
+    path = tmp_path / f"{name}.sod"
+    path.write_text(text.replace(old + "\n", new + "\n"))
+    assert main(["replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line {line}: {message}\n"
+
+
 def test_serre_counts_out_of_range_are_input_errors(tmp_path, capsys):
     # after b8 of gr-to-clifford the decomposition has 7 entries; neither
     # wrap may pass, nor be described as wrapping 0 or 12 of them

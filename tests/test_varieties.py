@@ -205,14 +205,45 @@ def test_fourfold_label_algebra():
 
 
 def test_homogeneous_serre_twist_is_the_canonical_bundle():
-    for name, omega, inverse in [
-        ("P3", "O(-4h)", "O(4h)"), ("Gr23", "O(-3g)", "O(3g)"),
-        ("Gr24", "O(-4g)", "O(4g)"), ("Gr24xP3", "O(-4g-4h)", "O(4g+4h)"),
-    ]:
-        v = get_variety(name)
+    # a Serre wrap is a twist by these two line bundles; on an ambient
+    # lattice that is multiplication by their characters
+    cases = [
+        ("P3", 10, "O(-4h)", "O(4h)"), ("Gr23", 10, "O(-3g)", "O(3g)"),
+        ("Gr24", 10, "O(-4g)", "O(4g)"),
+        ("Gr24xP3", 10, "O(-4g-4h)", "O(4g+4h)"),
+    ] + [("blown_p3", n, "O(-4h+2e)", "O(4h-2e)") for n in (1, 4, 10, 11)]
+    for name, nodes, omega, inverse in cases:
+        v = get_variety(name, nodes)
+        assert v.serre == (omega, inverse)
         assert v.serre_label("O") == omega
         assert v.serre_label("O", inverse=True) == inverse
         assert v.kclass(omega) == v.ring.canonical_ch
+        assert v.kclass(omega) * v.kclass(inverse) == v.ring.one()
+
+
+@pytest.mark.parametrize("name", ["net_fourfold", "double_cover_blowup"])
+def test_formal_serre_twists_are_mutually_inverse(name):
+    # on a formal lattice a twist renames generators, as a replay does
+    v = get_variety(name)
+
+    def twist(cls, by):
+        return v.lattice.combo({
+            v.twist_label(g, by): c for g, c in cls.coeffs.items()
+        })
+
+    pool = ["O", "O(-h)", "O(h)"] + (
+        ["O(-g)", "V/U", "Cliff_1", "Cliff_2(-g)", "O_Pl1", "O_Pl3(1)"]
+        if name == "net_fourfold" else
+        ["O(-e1)", "O(H)", "O(h-e3)", "O_Q1", "O_Q2(1,0)"]
+    )
+    rng = random.Random(31)
+    for _ in range(40):
+        cls = v.lattice.zero()
+        for _ in range(rng.randrange(1, 4)):
+            cls = cls + v.kclass(rng.choice(pool)).scale(rng.randrange(-3, 4))
+        there = twist(cls, v.serre[0])
+        assert twist(there, v.serre[1]) == cls
+        assert twist(twist(cls, v.serre[1]), v.serre[0]) == cls
 
 
 def test_fourfold_serre_pairing_symmetry():
