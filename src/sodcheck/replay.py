@@ -4,22 +4,7 @@ A scenario file (``*.sod``) declares a variety, an initial decomposition
 (concrete sheaf labels, indexed families, abstract blocks), a sequence of
 mutation steps, and the expected final decomposition.  The runner replays
 the steps with full class-level bookkeeping in the variety's numerical
-Grothendieck lattice and demands exact evidence for every reordering:
-
-* ``pass_left`` / ``pass_right`` move entries across other entries and
-  require the corresponding graded Ext groups to vanish outright;
-* ``mutate_left`` / ``mutate_right`` apply the mutation formula
-  ``F -> F - chi(E,F) E`` (resp. ``F - chi(F,E) E``) and record the graded
-  evidence, cross-checking its Euler number against the lattice pairing;
-* ``identify`` resolves a mutation result against a named sheaf, with a
-  declared shift parity: the stored class must equal ``(-1)^parity`` times
-  the named class (decided in the lattice, through its relations if any);
-* ``serre`` wraps outermost entries around the decomposition, twisting by
-  the (anti)canonical bundle; ``twist_all`` twists every entry;
-* ``insert_block`` expands an abstract block into a declared decomposition,
-  optionally demanding a graded exceptionality check or the split
-  certificate.
-
+Grothendieck lattice and demands exact evidence for every reordering.
 Every imported statement used by evidence or label resolution must be in
 the scenario's declared allowance; the runner records the set actually
 used.  Transcripts are deterministic byte-for-byte.
@@ -33,17 +18,31 @@ File grammar (``#`` starts a comment; indentation marks membership)::
       entry LABEL [\\[1\\]]             # concrete object (+ shift parity)
       family NAME: TEMPLATE [\\[1\\]]   # TEMPLATE uses {i}, i = 1..nodes
       block NAME "DISPLAY"            # abstract subcategory
-    step ID KIND key=value ..         # sublines attach to the step
+    step ID KIND ARGS                 # a step form below
 
-Step forms: ``step ID serre left|right K`` (1 <= K <= current entries);
-``step ID pass_left|pass_right movers=SEL to=front|end|after:SEL|before:SEL``;
-``step ID mutate_left|mutate_right mover=SEL through=SEL``;
-``step ID identify from=STEPID|entry=SEL as=LABEL parity=0|1``;
-``step ID twist_all by=LABEL``;
-``step ID insert_block target=block:NAME [axioms=ID,..]
-[exceptional=L1,L2] [require=split_certificate]`` with entry sublines.
-Selectors: a canonical label, ``block:NAME``, ``family:NAME``, or
-``each:TEMPLATE`` (one mover per node index).
+Step forms, one row each of the step table ``_KINDS`` (``[..]`` marks an
+optional argument; SEL is ``block:NAME``, ``family:NAME`` or a label, and
+MOVERS a SEL or ``each:TEMPLATE``, one mover per node index):
+
+* ``serre left|right K`` (an integer ``K >= 1``) wraps the K outermost
+  entries around, twisting by the (anti)canonical bundle;
+* ``pass_left|pass_right movers=MOVERS to=front|end|after:SEL|before:SEL``
+  moves entries across others; the graded Ext groups must vanish outright;
+* ``mutate_left|mutate_right mover=MOVERS through=SEL`` applies
+  ``F -> F - chi(E,F) E`` (resp. ``F - chi(F,E) E``), recording the graded
+  evidence and cross-checking its Euler number against the lattice;
+* ``identify from=STEPID|entry=SEL as=LABEL [parity=0|1]`` names an entry
+  or the result of an earlier mutate step not yet named: its class must be
+  ``(-1)^parity`` times the named class, decided in the lattice;
+* ``twist_all by=LABEL`` twists every entry;
+* ``insert_block target=block:NAME [axioms=ID,..] [exceptional=LABEL,..]
+  [require=split_certificate]`` expands a block into the entries on its
+  sublines, optionally checking exceptionality or the split certificate.
+
+``parse_scenario`` reads each argument once and names the line of a
+missing, unknown or repeated argument, a bad value (no list item may be
+empty), a positional token outside ``serre``, a subline outside
+``insert_block`` or a reused step id.  An unknown kind fails when run.
 """
 
 from __future__ import annotations
@@ -173,11 +172,16 @@ class Block:
 # scenario structure
 
 class Step:
-    def __init__(self, sid, kind, args, sublines):
+    """A parsed step: its handler and side from the step table (none for
+    an unknown kind), its typed fields and ``insert_block``'s entries."""
+
+    def __init__(self, sid, kind, handler=None, left=None, fields=None):
         self.sid = sid
         self.kind = kind
-        self.args = args
-        self.sublines = sublines
+        self.handler = handler
+        self.left = left
+        self.fields = fields or {}
+        self.decls: list = []
 
 
 class Scenario:
@@ -195,157 +199,6 @@ class Scenario:
         self.expect = expect
         self.closing_note = closing_note
         self.closing_axioms = closing_axioms
-
-
-_STEP_RE = re.compile(r"^step\s+(\w+)\s+(\w+)\s*(.*)$")
-
-
-def _parse_entry_line(line: str):
-    """Parse one entry declaration; returns a tagged tuple."""
-    line = line.strip()
-    if line.startswith("entry "):
-        body = line[len("entry "):].strip()
-        parity = 0
-        if body.endswith("[1]"):
-            parity = 1
-            body = body[:-3].strip()
-        return ("entry", body, parity)
-    if line.startswith("family "):
-        m = re.match(r"^family\s+(\w+)\s*:\s*(\S+)(?:\s+\[1\])?$", line)
-        if not m:
-            raise ReplayError(f"cannot parse family line {line!r}")
-        parity = 1 if line.rstrip().endswith("[1]") else 0
-        return ("family", m.group(1), m.group(2), parity)
-    if line.startswith("block "):
-        m = re.match(r'^block\s+(\w+)\s+"([^"]*)"$', line)
-        if not m:
-            raise ReplayError(f"cannot parse block line {line!r}")
-        return ("block", m.group(1), m.group(2))
-    raise ReplayError(f"unknown entry declaration {line!r}")
-
-
-def _node_count(text: str) -> int:
-    """The value of a ``nodes`` line: a positive integer."""
-    try:
-        nodes = int(text)
-    except ValueError:
-        nodes = 0
-    if nodes < 1:
-        raise ReplayError(f"nodes must be a positive integer, got {text!r}")
-    return nodes
-
-
-def _serre_args(args: dict) -> tuple[str, int]:
-    """The side and entry count of a ``serre left|right K`` step."""
-    pos = args.get("_pos", [])
-    if len(pos) != 2 or pos[0] not in ("left", "right"):
-        raise ReplayError(
-            f"serre takes 'left|right K', got {' '.join(pos)!r}"
-        )
-    count = int(pos[1]) if re.fullmatch(r"\d+", pos[1]) else 0
-    if count < 1:
-        raise ReplayError(
-            f"serre count must be an integer >= 1, got {pos[1]!r}"
-        )
-    return pos[0], count
-
-
-#: required ``key=`` arguments of each step kind
-_REQUIRED = {
-    "pass_left": ("movers", "to"), "pass_right": ("movers", "to"),
-    "mutate_left": ("mover", "through"), "mutate_right": ("mover", "through"),
-    "twist_all": ("by",), "identify": ("as",), "insert_block": ("target",),
-}
-
-
-def _check_args(kind: str, args: dict) -> None:
-    """Reject a known step kind's missing or bad arguments."""
-    if kind == "serre":
-        _serre_args(args)
-    for name in _REQUIRED.get(kind, ()):
-        if name not in args:
-            raise ReplayError(f"{kind} needs {name}=")
-    if kind == "identify":
-        if ("from" in args) == ("entry" in args):
-            raise ReplayError("identify needs exactly one of from= and entry=")
-        if args.get("parity", "0") not in ("0", "1"):
-            raise ReplayError(
-                f"identify parity must be 0 or 1, got {args['parity']!r}"
-            )
-
-
-def parse_scenario(text: str) -> Scenario:
-    name = variety_name = title = None
-    nodes = DEFAULT_NODES
-    allowed: set[str] = set()
-    initial: list = []
-    initial_axioms: list[str] = []
-    steps: list[Step] = []
-    expect: list = []
-    closing_note = ""
-    closing_axioms: list[str] = []
-
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        try:
-            if line.startswith(("  ", "\t")):
-                body = line.strip()
-                if section == "initial":
-                    initial.append(_parse_entry_line(body))
-                elif section == "expect":
-                    expect.append(_parse_entry_line(body))
-                elif section == "step" and steps:
-                    steps[-1].sublines.append(body)
-                else:
-                    raise ReplayError(f"unexpected indented line {body!r}")
-                continue
-            section = None
-            if line.startswith("scenario "):
-                name = line.split(None, 1)[1].strip()
-            elif line.startswith("variety "):
-                variety_name = line.split(None, 1)[1].strip()
-            elif line.startswith("nodes "):
-                nodes = _node_count(line.split(None, 1)[1])
-            elif line.startswith("title "):
-                title = line.split(None, 1)[1].strip().strip('"')
-            elif line.startswith("allow_axioms"):
-                allowed.update(line.split()[1:])
-            elif line.startswith("initial_axioms"):
-                initial_axioms.extend(line.split()[1:])
-            elif line.startswith("closing_axioms"):
-                closing_axioms.extend(line.split()[1:])
-            elif line.startswith("initial:"):
-                section = "initial"
-            elif line.startswith("expect:"):
-                section = "expect"
-            elif line.startswith("closing_note "):
-                closing_note = line.split(None, 1)[1].strip().strip('"')
-            else:
-                m = _STEP_RE.match(line)
-                if not m:
-                    raise ReplayError(f"cannot parse line {line!r}")
-                args = {}
-                rest = m.group(3)
-                for token in rest.split():
-                    if "=" in token:
-                        k, v = token.split("=", 1)
-                        args[k] = v
-                    else:
-                        args.setdefault("_pos", []).append(token)
-                _check_args(m.group(2), args)
-                steps.append(Step(m.group(1), m.group(2), args, []))
-                section = "step"
-        except ReplayError as err:
-            raise ReplayError(f"line {lineno}: {err}") from None
-
-    if not (name and variety_name):
-        raise ReplayError("scenario must declare a name and a variety")
-    return Scenario(name, variety_name, nodes, title or name, allowed,
-                    initial, initial_axioms, steps, expect, closing_note,
-                    closing_axioms)
 
 
 # --------------------------------------------------------------------------
@@ -416,44 +269,33 @@ class _Runner:
     def show_state(self) -> str:
         return "< " + ", ".join(e.display() for e in self.state) + " >"
 
-    def find(self, sel: str) -> int:
-        """Index of the entry matching a selector."""
-        if sel.startswith("block:"):
-            name = sel[6:]
+    def find(self, sel) -> int:
+        """Index of the entry matching a ``(kind, name)`` selector."""
+        kind, name = sel
+        if kind != "label":
+            cls = Block if kind == "block" else Family
             for i, e in enumerate(self.state):
-                if isinstance(e, Block) and e.name == name:
+                if isinstance(e, cls) and e.name == name:
                     return i
-            raise ReplayError(f"no block named {name}")
-        if sel.startswith("family:"):
-            name = sel[7:]
-            for i, e in enumerate(self.state):
-                if isinstance(e, Family) and e.name == name:
-                    return i
-            raise ReplayError(f"no family named {name}")
-        key = self.variety.parse(_known(sel))
-        hits = [
-            i for i, e in enumerate(self.state)
-            if isinstance(e, Concrete) and e.key == key
-        ]
+            raise ReplayError(f"no {kind} named {name}")
+        key = self.variety.parse(_known(name))
+        hits = [i for i, e in enumerate(self.state)
+                if isinstance(e, Concrete) and e.key == key]
         if len(hits) != 1:
-            raise ReplayError(
-                f"selector {sel!r} matches {len(hits)} entries"
-            )
+            raise ReplayError(f"selector {name!r} matches {len(hits)} entries")
         return hits[0]
 
-    def resolve_movers(self, sel: str) -> list[int]:
+    def resolve_movers(self, sel) -> list[int]:
         """Indices of mover entries for a pass/mutate step."""
-        if sel.startswith("each:"):
-            template = sel[5:]
-            idxs = []
-            for i in range(1, self.sc.nodes + 1):
-                j = self.find(template.replace("{i}", str(i)))
-                entry = self.state[j]
-                if isinstance(entry, Concrete):
-                    entry.index = i
-                idxs.append(j)
-            return idxs
-        return [self.find(sel)]
+        kind, template = sel
+        if kind != "each":
+            return [self.find(sel)]
+        idxs = []
+        for i in range(1, self.sc.nodes + 1):
+            j = self.find(("label", template.replace("{i}", str(i))))
+            self.state[j].index = i  # a label selects a concrete entry
+            idxs.append(j)
+        return idxs
 
     def concrete_members(self, entry) -> list[Concrete]:
         if isinstance(entry, Concrete):
@@ -470,37 +312,26 @@ class _Runner:
     def evidence_ext(self, src: Concrete, dst: Concrete,
                      want_zero: bool) -> ExtAnswer:
         ans = self.variety.ext(_known(src.label), _known(dst.label))
+        ext = f"Ext({src.label}, {dst.label})"
         if not ans.determinate:
             raise ReplayError(
-                f"Ext({src.label}, {dst.label}) is not certified "
-                f"({ans.tag}: {ans.route})"
+                f"{ext} is not certified ({ans.tag}: {ans.route})"
             )
-        if ans.tag == AXIOM:
-            self.use_axioms(ans.axioms, f"Ext({src.label}, {dst.label})")
-        elif ans.tag not in (BBW, RULE):
-            raise ReplayError(
-                f"Ext({src.label}, {dst.label}) carries tag {ans.tag}"
-            )
-        elif ans.axioms:
-            self.use_axioms(ans.axioms, f"Ext({src.label}, {dst.label})")
-        lattice_chi = self.lattice.pair(
-            self.variety._class(src.key), self.variety._class(dst.key)
-        )
+        if ans.tag not in (BBW, RULE, AXIOM):
+            raise ReplayError(f"{ext} carries tag {ans.tag}")
+        self.use_axioms(ans.axioms, ext)
+        lattice_chi = self.lattice.pair(self.variety._class(src.key),
+                                        self.variety._class(dst.key))
         if ans.chi != lattice_chi:
             raise ReplayError(
-                f"Ext({src.label}, {dst.label}): staircase chi {ans.chi} "
-                f"!= lattice chi {lattice_chi}"
+                f"{ext}: staircase chi {ans.chi} != lattice chi {lattice_chi}"
             )
         if want_zero and not ans.is_zero:
-            raise ReplayError(
-                f"Ext({src.label}, {dst.label}) = "
-                f"{ans.describe()}; expected zero"
-            )
-        tagbit = f" [{ans.tag}]"
+            raise ReplayError(f"{ext} = {ans.describe()}; expected zero")
         self.emit(
-            f"    Ext({src.label}, {dst.label}) = "
+            f"    {ext} = "
             f"{'0' if ans.is_zero else ans.describe().split(' chi=')[0]}"
-            f"{tagbit} chi {ans.chi} == lattice {lattice_chi}"
+            f" [{ans.tag}] chi {ans.chi} == lattice {lattice_chi}"
         )
         return ans
 
@@ -525,26 +356,20 @@ class _Runner:
     # ---- gram
 
     def gram_check(self, context: str) -> None:
-        flat = []
-        for e in self.state:
-            if isinstance(e, Concrete):
-                flat.append(e)
-            elif isinstance(e, Family):
-                flat.extend(e.members)
-        n = len(flat)
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    continue
-                val = self.lattice.pair(flat[i].cls, flat[j].cls)
+        flat = [m for e in self.state if not isinstance(e, Block)
+                for m in self.concrete_members(e)]
+        for i, a in enumerate(flat):
+            for j, b in enumerate(flat[:i + 1]):
+                val = self.lattice.pair(a.cls, b.cls)
                 want = 1 if i == j else 0
                 if val != want:
                     raise ReplayError(
-                        f"{context}: chi({flat[i].display()}, "
-                        f"{flat[j].display()}) = {val}, expected {want}"
+                        f"{context}: chi({a.display()}, "
+                        f"{b.display()}) = {val}, expected {want}"
                     )
         self.emit(
-            f"  gram of {n} tracked classes is unitriangular ({context})"
+            f"  gram of {len(flat)} tracked classes is unitriangular "
+            f"({context})"
         )
 
     # ---- steps
@@ -568,7 +393,9 @@ class _Runner:
             self.emit("  " + self.show_state())
             self.gram_check("initial")
             for step in sc.steps:
-                self.run_step(step)
+                if step.handler is None:
+                    raise ReplayError(f"unknown step kind {step.kind!r}")
+                step.handler(self, step)
                 self.emit("  " + self.show_state())
             self.check_expect()
             self.gram_check("final")
@@ -586,24 +413,18 @@ class _Runner:
                 + (", ".join(sorted(self.axioms_used)) or "none")
             )
             self.emit(f"scenario {sc.name}: PASS")
-            return ReplayResult(sc.name, True, self.out,
-                                set(self.axioms_used), self.state)
+            passed = True
         except MalformedScenario:
             raise
         except ReplayError as err:
             self.emit(f"scenario {sc.name}: FAIL — {err}")
-            return ReplayResult(sc.name, False, self.out,
-                                set(self.axioms_used), self.state)
-
-    def run_step(self, step: Step) -> None:
-        handler = getattr(self, f"step_{step.kind}", None)
-        if handler is None:
-            raise ReplayError(f"unknown step kind {step.kind!r}")
-        handler(step)
+            passed = False
+        return ReplayResult(sc.name, passed, self.out,
+                            set(self.axioms_used), self.state)
 
     # serre left|right K
     def step_serre(self, step: Step) -> None:
-        side, count = _serre_args(step.args)
+        side, count = step.fields[""]
         if count > len(self.state):
             raise MalformedScenario(
                 f"step {step.sid}: serre {side} {count} wraps more entries "
@@ -625,7 +446,7 @@ class _Runner:
 
     # twist_all by=LABEL
     def step_twist_all(self, step: Step) -> None:
-        by = step.args["by"]
+        by = step.fields["by"]
         self.emit(f"step {step.sid}: twist the whole decomposition by {by}")
         line_key = self.variety._line(by)
         self.state = [self._twist_entry(e, line_key) for e in self.state]
@@ -654,16 +475,10 @@ class _Runner:
             cls = e.cls * v._class(line_key)
         return Concrete(v.format(key), key, e.parity, cls, e.index)
 
-    # pass_left movers=SEL to=front|after:SEL|before:SEL
-    def step_pass_left(self, step: Step) -> None:
-        self._pass(step, left=True)
-
-    def step_pass_right(self, step: Step) -> None:
-        self._pass(step, left=False)
-
-    def _pass(self, step: Step, left: bool) -> None:
-        mover_idxs = self.resolve_movers(step.args["movers"])
-        target = step.args["to"]
+    # pass_left|pass_right movers=SEL to=front|end|after:SEL|before:SEL
+    def step_pass(self, step: Step) -> None:
+        left = step.left
+        mover_idxs = self.resolve_movers(step.fields["movers"])
         movers = [self.state[i] for i in mover_idxs]
         names = ", ".join(e.display() for e in movers)
         self.emit(
@@ -671,17 +486,9 @@ class _Runner:
             f"{'left' if left else 'right'} (vanishing Ext pass-through)"
         )
         mover_set = set(mover_idxs)
-        if target == "front":
-            dest = 0
-        elif target == "end":
-            dest = len(self.state)
-        elif target.startswith("after:"):
-            dest = self.find(target[6:]) + 1
-        elif target.startswith("before:"):
-            dest = self.find(target[7:])
-        else:
-            raise ReplayError(f"bad pass destination {target!r}")
-
+        where, sel = step.fields["to"]
+        dest = (self.find(sel) + (where == "after") if sel
+                else 0 if where == "front" else len(self.state))
         block_move = any(isinstance(e, Block) for e in movers)
         if block_move and len(movers) != 1:
             raise ReplayError("a block must move alone")
@@ -703,29 +510,21 @@ class _Runner:
                 "no class bookkeeping"
             )
         else:
+            moving = [m for e in movers for m in self.concrete_members(e)]
             for k in sorted(crossed_idx):
                 for passed in self.concrete_members(self.state[k]):
-                    for e in movers:
-                        for mem in self.concrete_members(e):
-                            if left:
-                                self.evidence_ext(passed, mem, True)
-                            else:
-                                self.evidence_ext(mem, passed, True)
+                    for mem in moving:
+                        pair = (passed, mem) if left else (mem, passed)
+                        self.evidence_ext(*pair, True)
         keep = [e for i, e in enumerate(self.state) if i not in mover_set]
-        shift = sum(1 for i in mover_idxs if i < dest)
-        dest -= shift
+        dest -= sum(1 for i in mover_idxs if i < dest)
         self.state = keep[:dest] + movers + keep[dest:]
 
-    # mutate_left mover=SEL through=SEL   (and mutate_right)
-    def step_mutate_left(self, step: Step) -> None:
-        self._mutate(step, left=True)
-
-    def step_mutate_right(self, step: Step) -> None:
-        self._mutate(step, left=False)
-
-    def _mutate(self, step: Step, left: bool) -> None:
-        mover_idxs = self.resolve_movers(step.args["mover"])
-        through_idx = self.find(step.args["through"])
+    # mutate_left|mutate_right mover=SEL through=SEL
+    def step_mutate(self, step: Step) -> None:
+        left = step.left
+        mover_idxs = self.resolve_movers(step.fields["mover"])
+        through_idx = self.find(step.fields["through"])
         through = self.state[through_idx]
         movers = [self.state[i] for i in mover_idxs]
         names = ", ".join(e.display() for e in movers)
@@ -733,28 +532,20 @@ class _Runner:
             f"step {step.sid}: {'left' if left else 'right'}-mutate {names} "
             f"through {through.display()}"
         )
-        if isinstance(through, Block) or any(
-            isinstance(e, Block) for e in movers
-        ):
+        if any(isinstance(e, Block) for e in movers + [through]):
             raise ReplayError("mutation formula needs concrete classes")
 
         # adjacency: between the through-entry and each mover only movers
         mover_set = set(mover_idxs)
         for m in mover_idxs:
-            span = (
-                range(through_idx + 1, m) if left else range(m + 1,
-                                                             through_idx)
-            )
-            for k in span:
-                if k not in mover_set:
-                    raise ReplayError(
-                        "mutation target is not adjacent to the mover"
-                    )
+            span = range(through_idx + 1, m) if left else range(m + 1,
+                                                                through_idx)
+            if any(k not in mover_set for k in span):
+                raise ReplayError(
+                    "mutation target is not adjacent to the mover")
+        moving = [m for e in movers for m in self.concrete_members(e)]
         if len(mover_idxs) > 1:
-            flat = []
-            for e in movers:
-                flat.extend(self.concrete_members(e))
-            self.check_family_orthogonal(flat, f"step {step.sid}")
+            self.check_family_orthogonal(moving, f"step {step.sid}")
 
         through_members = self.concrete_members(through)
         if len(through_members) > 1:
@@ -762,60 +553,45 @@ class _Runner:
 
         results = []
         nonzero = False
-        for e in movers:
-            for mem in self.concrete_members(e):
-                cls = mem.cls
-                for t in through_members:
-                    if left:
-                        ans = self.evidence_ext(t, mem, False)
-                        chi = self.lattice.pair(t.cls, cls)
-                    else:
-                        ans = self.evidence_ext(mem, t, False)
-                        chi = self.lattice.pair(cls, t.cls)
-                    if ans.chi != 0:
-                        nonzero = True
-                    cls = cls - t.cls.scale(chi)
-                results.append(Concrete(
-                    f"{_MUTANT}{step.sid}" + (
-                        f":{mem.index}" if mem.index is not None else ""
-                    ),
-                    None, mem.parity, cls, mem.index,
-                ))
+        for mem in moving:
+            cls = mem.cls
+            for t in through_members:
+                if left:
+                    ans = self.evidence_ext(t, mem, False)
+                    chi = self.lattice.pair(t.cls, cls)
+                else:
+                    ans = self.evidence_ext(mem, t, False)
+                    chi = self.lattice.pair(cls, t.cls)
+                nonzero = nonzero or ans.chi != 0
+                cls = cls - t.cls.scale(chi)
+            suffix = f":{mem.index}" if mem.index is not None else ""
+            results.append(Concrete(f"{_MUTANT}{step.sid}{suffix}", None,
+                                    mem.parity, cls, mem.index))
         if not nonzero:
             raise ReplayError(
                 "all mutation evidence vanishes; use a pass step"
             )
         self.mutants[step.sid] = results
-        result_entry: list = []
         if len(movers) == 1 and isinstance(movers[0], Family):
-            result_entry = [Family(movers[0].name, results)]
-        else:
-            result_entry = results
-        keep = [
-            e for i, e in enumerate(self.state)
-            if i not in mover_set and i != through_idx
-        ]
+            results = [Family(movers[0].name, results)]
+        keep = [e for i, e in enumerate(self.state)
+                if i not in mover_set and i != through_idx]
         pos = min([through_idx] + mover_idxs)
         pos = pos - sum(1 for i in mover_idxs if i < pos)
-        if left:
-            new = result_entry + [through]
-        else:
-            new = [through] + result_entry
+        new = results + [through] if left else [through] + results
         self.state = keep[:pos] + new + keep[pos:]
 
     # identify from=STEP|entry=SEL as=LABEL parity=P
     def step_identify(self, step: Step) -> None:
-        template = step.args["as"]
-        parity = int(step.args.get("parity", "0"))
+        template = step.fields["as"]
+        parity = step.fields.get("parity", 0)
         shown = template.replace("{i}", "i")
-        if "from" in step.args:
-            sid = step.args["from"]
-            if sid not in self.mutants:
-                raise ReplayError(f"no mutation result from step {sid}")
+        if "from" in step.fields:
+            sid = step.fields["from"]
             results = self.mutants.pop(sid)
             origin = f"the result of {sid}"
         else:
-            entry = self.state[self.find(step.args["entry"])]
+            entry = self.state[self.find(step.fields["entry"])]
             if not isinstance(entry, Concrete):
                 raise ReplayError("identify needs a concrete entry")
             results = [entry]
@@ -847,19 +623,18 @@ class _Runner:
 
     # insert_block target=block:NAME [axioms=..] [exceptional=..] [require=..]
     def step_insert_block(self, step: Step) -> None:
-        idx = self.find(step.args["target"])
+        idx = self.find(step.fields["target"])
         target = self.state[idx]
-        decls = [_parse_entry_line(s) for s in step.sublines]
-        new_entries = self.build_entries(decls)
+        new_entries = self.build_entries(step.decls)
         self.emit(
             f"step {step.sid}: expand {target.display()} into "
             + "< " + ", ".join(e.display() for e in new_entries) + " >"
         )
-        axioms = [a for a in step.args.get("axioms", "").split(",") if a]
+        axioms = step.fields.get("axioms", [])
         self.use_axioms(axioms, f"step {step.sid}")
         if axioms:
             self.emit("    imports: " + ", ".join(axioms))
-        if step.args.get("require") == "split_certificate":
+        if "require" in step.fields:  # its one value: split_certificate
             cert = check_split_certificate()
             if not cert.passed:
                 raise ReplayError("the split certificate fails")
@@ -869,24 +644,18 @@ class _Runner:
                 f"{len(cert.leave_one_out)} relations, "
                 f"{len(cert.side_conditions)} side conditions hold"
             )
-        if "exceptional" in step.args:
-            labels = step.args["exceptional"].split(",")
-            entries = [self.make_concrete(lbl, 0) for lbl in labels]
+        if "exceptional" in step.fields:
+            entries = [self.make_concrete(lbl, 0)
+                       for lbl in step.fields["exceptional"]]
             for i, a in enumerate(entries):
-                for j, b in enumerate(entries):
-                    if i == j:
-                        ans = self.variety.ext(a.label, b.label)
-                        if not (ans.determinate and ans.graded == {0: 1}):
-                            raise ReplayError(
-                                f"{a.label} is not exceptional: "
-                                f"{ans.describe()}"
-                            )
-                        self.emit(
-                            f"    Ext({a.label}, {a.label}) = C[0] "
-                            f"[{ans.tag}]"
-                        )
-                    elif i > j:
-                        self.evidence_ext(a, b, True)
+                for b in entries[:i]:
+                    self.evidence_ext(a, b, True)
+                ans = self.variety.ext(a.label, a.label)
+                if not (ans.determinate and ans.graded == {0: 1}):
+                    raise ReplayError(
+                        f"{a.label} is not exceptional: {ans.describe()}"
+                    )
+                self.emit(f"    Ext({a.label}, {a.label}) = C[0] [{ans.tag}]")
         self.state = self.state[:idx] + new_entries + self.state[idx + 1:]
 
     # ---- expectation
@@ -894,14 +663,11 @@ class _Runner:
     def _flatten(self, entries) -> list:
         flat = []
         for e in entries:
-            if isinstance(e, Concrete):
-                flat.append(("entry", e.label, e.parity % 2))
-            elif isinstance(e, Family):
-                flat.extend(
-                    ("entry", m.label, m.parity % 2) for m in e.members
-                )
-            else:
+            if isinstance(e, Block):
                 flat.append(("block", e.name))
+            else:
+                flat.extend(("entry", m.label, m.parity % 2)
+                            for m in self.concrete_members(e))
         return flat
 
     def check_expect(self) -> None:
@@ -920,6 +686,240 @@ class _Runner:
             f"final state matches the expected decomposition "
             f"({len(want)} tracked slots)"
         )
+
+
+# --------------------------------------------------------------------------
+# parsing
+
+_STEP_RE = re.compile(r"^step\s+(\w+)\s+(\w+)\s*(.*)$")
+
+
+def _parse_entry_line(line: str):
+    """Parse one entry declaration; returns a tagged tuple."""
+    line = line.strip()
+    if line.startswith("entry "):
+        body = line[len("entry "):].strip()
+        parity = int(body.endswith("[1]"))
+        return ("entry", body[:-3].strip() if parity else body, parity)
+    if line.startswith("family "):
+        m = re.match(r"^family\s+(\w+)\s*:\s*(\S+)(?:\s+\[1\])?$", line)
+        if not m:
+            raise ReplayError(f"cannot parse family line {line!r}")
+        parity = 1 if line.rstrip().endswith("[1]") else 0
+        return ("family", m.group(1), m.group(2), parity)
+    if line.startswith("block "):
+        m = re.match(r'^block\s+(\w+)\s+"([^"]*)"$', line)
+        if not m:
+            raise ReplayError(f"cannot parse block line {line!r}")
+        return ("block", m.group(1), m.group(2))
+    raise ReplayError(f"unknown entry declaration {line!r}")
+
+
+def _node_count(text: str) -> int:
+    """The value of a ``nodes`` line: a positive integer."""
+    try:
+        nodes = int(text)
+    except ValueError:
+        nodes = 0
+    if nodes < 1:
+        raise ReplayError(f"nodes must be a positive integer, got {text!r}")
+    return nodes
+
+
+# Argument readers: each turns one argument's text into its typed value or
+# raises ReplayError.  A selector is a (block|family|each|label, NAME) pair.
+
+def _selector(text: str) -> tuple[str, str]:
+    """``block:NAME``, ``family:NAME`` or a label."""
+    kind, colon, name = text.partition(":")
+    if colon and kind == "each":
+        raise ReplayError(
+            f"each: is allowed only in movers= and mover=, got {text!r}"
+        )
+    if colon and kind in ("block", "family"):
+        return kind, name
+    return "label", text
+
+
+def _movers(text: str) -> tuple[str, str]:
+    return ("each", text[5:]) if text.startswith("each:") else _selector(text)
+
+
+def _destination(text: str):
+    """``(front|end, None)`` or ``(after|before, selector)``."""
+    where, colon, sel = text.partition(":")
+    if text in ("front", "end"):
+        return text, None
+    if not (colon and where in ("after", "before")):
+        raise ReplayError(f"bad pass destination {text!r}")
+    return where, _selector(sel)
+
+
+def _block(text: str) -> tuple[str, str]:
+    if not text.startswith("block:"):
+        raise ReplayError(
+            f"insert_block target must be block:NAME, got {text!r}"
+        )
+    return _selector(text)
+
+
+def _parity(text: str) -> int:
+    if text not in ("0", "1"):
+        raise ReplayError(f"identify parity must be 0 or 1, got {text!r}")
+    return int(text)
+
+
+def _names(text: str) -> list[str]:
+    """A comma-separated list with no empty item."""
+    if "" in text.split(","):
+        raise ReplayError(f"empty item in the list {text!r}")
+    return text.split(",")
+
+
+def _require(text: str) -> str:
+    if text != "split_certificate":
+        raise ReplayError(f"require must be split_certificate, got {text!r}")
+    return text
+
+
+def _wrap(text: str) -> tuple[str, int]:
+    """The side and entry count of a ``serre left|right K`` step."""
+    pos = text.split()
+    if len(pos) != 2 or pos[0] not in ("left", "right"):
+        raise ReplayError(f"serre takes 'left|right K', got {text!r}")
+    count = int(pos[1]) if re.fullmatch(r"\d+", pos[1]) else 0
+    if count < 1:
+        raise ReplayError(
+            f"serre count must be an integer >= 1, got {pos[1]!r}"
+        )
+    return pos[0], count
+
+
+_PASS = {"movers": (True, _movers), "to": (True, _destination)}
+_MUTATE = {"mover": (True, _movers), "through": (True, _selector)}
+
+#: the step table: each kind's handler, the side it runs on (True for
+#: left), and its arguments as name -> (required, reader); the name ""
+#: stands for the positional tokens, which only ``serre`` takes
+_KINDS = {
+    "serre": (_Runner.step_serre, None, {"": (True, _wrap)}),
+    "pass_left": (_Runner.step_pass, True, _PASS),
+    "pass_right": (_Runner.step_pass, False, _PASS),
+    "mutate_left": (_Runner.step_mutate, True, _MUTATE),
+    "mutate_right": (_Runner.step_mutate, False, _MUTATE),
+    "identify": (_Runner.step_identify, None, {
+        "from": (False, str), "entry": (False, _selector),
+        "as": (True, str), "parity": (False, _parity),
+    }),
+    "twist_all": (_Runner.step_twist_all, None, {"by": (True, str)}),
+    "insert_block": (_Runner.step_insert_block, None, {
+        "target": (True, _block), "axioms": (False, _names),
+        "exceptional": (False, _names), "require": (False, _require),
+    }),
+}
+
+
+def _parse_step(sid: str, kind: str, rest: str, steps: list) -> Step:
+    """A step line read against its kind's row of the step table."""
+    if any(s.sid == sid for s in steps):
+        raise ReplayError(f"step id {sid} is already used")
+    if kind not in _KINDS:  # an unknown kind fails when the step runs
+        return Step(sid, kind)
+    handler, left, params = _KINDS[kind]
+    given, pos = {}, []
+    for token in rest.split():
+        name, eq, value = token.partition("=")
+        if not eq:
+            pos.append(token)
+        elif name in given:
+            raise ReplayError(f"{kind} has {name}= twice: {token!r}")
+        elif name and name in params:
+            given[name] = value
+        else:
+            raise ReplayError(f"{kind} does not take {token!r}")
+    if pos and "" not in params:
+        raise ReplayError(f"{kind} does not take {pos[0]!r}")
+    given[""] = " ".join(pos)
+    fields = {}
+    for name, (required, read) in params.items():
+        if name in given:
+            fields[name] = read(given[name])
+        elif required:
+            raise ReplayError(f"{kind} needs {name}=")
+    if kind == "identify":
+        if ("from" in fields) == ("entry" in fields):
+            raise ReplayError("identify needs exactly one of from= and entry=")
+        unnamed = {s.sid for s in steps if s.handler is _Runner.step_mutate}
+        unnamed -= {s.fields.get("from") for s in steps}
+        if "from" in fields and fields["from"] not in unnamed:
+            raise ReplayError(
+                f"identify from={fields['from']} names no earlier mutate "
+                "step whose result is still unidentified"
+            )
+    return Step(sid, kind, handler, left, fields)
+
+
+def parse_scenario(text: str) -> Scenario:
+    name = variety_name = title = None
+    nodes = DEFAULT_NODES
+    allowed: set[str] = set()
+    initial: list = []
+    initial_axioms: list[str] = []
+    steps: list[Step] = []
+    expect: list = []
+    closing_note = ""
+    closing_axioms: list[str] = []
+
+    section = None  # the list an indented line adds to
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        try:
+            if line.startswith(("  ", "\t")):
+                if section is None:
+                    raise ReplayError(
+                        f"unexpected indented line {line.strip()!r}"
+                    )
+                section.append(_parse_entry_line(line))
+                continue
+            section = None
+            if line.startswith("scenario "):
+                name = line.split(None, 1)[1].strip()
+            elif line.startswith("variety "):
+                variety_name = line.split(None, 1)[1].strip()
+            elif line.startswith("nodes "):
+                nodes = _node_count(line.split(None, 1)[1])
+            elif line.startswith("title "):
+                title = line.split(None, 1)[1].strip().strip('"')
+            elif line.startswith("allow_axioms"):
+                allowed.update(line.split()[1:])
+            elif line.startswith("initial_axioms"):
+                initial_axioms.extend(line.split()[1:])
+            elif line.startswith("closing_axioms"):
+                closing_axioms.extend(line.split()[1:])
+            elif line.startswith("initial:"):
+                section = initial
+            elif line.startswith("expect:"):
+                section = expect
+            elif line.startswith("closing_note "):
+                closing_note = line.split(None, 1)[1].strip().strip('"')
+            else:
+                m = _STEP_RE.match(line)
+                if not m:
+                    raise ReplayError(f"cannot parse line {line!r}")
+                step = _parse_step(*m.groups(), steps)
+                steps.append(step)
+                if step.kind == "insert_block":
+                    section = step.decls
+        except ReplayError as err:
+            raise ReplayError(f"line {lineno}: {err}") from None
+
+    if not (name and variety_name):
+        raise ReplayError("scenario must declare a name and a variety")
+    return Scenario(name, variety_name, nodes, title or name, allowed,
+                    initial, initial_axioms, steps, expect, closing_note,
+                    closing_axioms)
 
 
 # --------------------------------------------------------------------------

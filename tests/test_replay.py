@@ -494,6 +494,112 @@ def test_missing_step_arguments_name_the_line(tmp_path, capsys, name, old,
     assert err == f"error: line {line}: {message}\n"
 
 
+REPLACE_SHEAF = """scenario replace-sheaf
+variety P3
+initial:
+  entry O(-h)
+  entry O
+step s1 insert_block target=O
+  entry O(h)
+expect:
+  entry O(-h)
+  entry O(h)
+"""
+
+_UNNAMED = "names no earlier mutate step whose result is still unidentified"
+
+# (scenario name or text, old, new, line, message): each edit either
+# passed, or read as a failed check, until the step table checked it
+STEP_TABLE_CASES = [
+    ("enriques-split", "require=split_certificate",
+     "requires=split_certificate", 20,
+     "insert_block does not take 'requires=split_certificate'"),
+    ("gr-to-clifford", "mover=O(-g) through=O(-h)",
+     "mover=O(-g) through=O(-h) extra=1", 23,
+     "mutate_left does not take 'extra=1'"),
+    ("enriques-split", "twist_all by=O(g)", "twist_all by=O(g) junk", 23,
+     "twist_all does not take 'junk'"),
+    ("gr-to-clifford", "movers=block:SurfD to=end",
+     "movers=block:SurfD to=sideways", 27,
+     "bad pass destination 'sideways'"),
+    ("enriques-split", "require=split_certificate",
+     "require=split_certifcate", 20,
+     "require must be split_certificate, got 'split_certifcate'"),
+    (REPLACE_SHEAF, "target=O", "target=O", 6,
+     "insert_block target must be block:NAME, got 'O'"),
+    ("gr-to-clifford", "to=after:V/U(-g)\nstep b7",
+     "to=after:each:V/U(-g)\nstep b7", 25,
+     "each: is allowed only in movers= and mover=, got 'each:V/U(-g)'"),
+    ("enriques-split", "  family Pl: O_Pl{i}(-1)",
+     "  famly Pl: O_Pl{i}(-1)", 21,
+     "unknown entry declaration 'famly Pl: O_Pl{i}(-1)'"),
+    ("enriques-split", "by=O(g)\n", "by=O(g)\n  entry O(5g)\n", 24,
+     "unexpected indented line 'entry O(5g)'"),
+    ("gr-to-clifford", "identify from=b4", "identify from=b9", 24,
+     f"identify from=b9 {_UNNAMED}"),
+    ("gr-to-clifford", "parity=0\nstep b6",
+     "parity=0\nstep b5x identify from=b4 as=Cliff_0(-g)\nstep b6", 25,
+     f"identify from=b4 {_UNNAMED}"),
+    ("gr-to-clifford", "step b6 pass_right", "step b5 pass_right", 25,
+     "step id b5 is already used"),
+    ("gr-to-clifford", "movers=O(-2g) to=front",
+     "movers=O(-2g) to=front to=end", 22,
+     "pass_left has to= twice: 'to=end'"),
+]
+
+
+def _edited(source, old, new):
+    text = load_scenario_text(source) if source in SCENARIOS else source
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("source, old, new, line, message",
+                         STEP_TABLE_CASES)
+def test_step_table_checks_name_the_line(source, old, new, line, message):
+    with pytest.raises(ReplayError) as err:
+        parse_scenario(_edited(source, old, new))
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("source, old, new, line, message",
+                         STEP_TABLE_CASES)
+def test_step_table_errors_exit_two_before_the_replay(
+        tmp_path, capsys, source, old, new, line, message):
+    path = tmp_path / "edited.sod"
+    path.write_text(_edited(source, old, new))
+    assert main(["replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line {line}: {message}\n"
+
+
+def test_every_misspelt_argument_name_is_an_input_error(tmp_path, capsys):
+    # each key=value token of the bundled files, its key given a trailing
+    # s, must stop the replay before it starts and name its line
+    path = tmp_path / "misspelt.sod"
+    seen = 0
+    for name in SCENARIOS:
+        lines = load_scenario_text(name).splitlines(keepends=True)
+        for n, line in enumerate(lines, 1):
+            words = line.split("#", 1)[0].split()
+            for k, word in enumerate(words):
+                if "=" not in word:
+                    continue
+                key, value = word.split("=", 1)
+                bad = f"{key}s={value}"
+                edited = " ".join(words[:k] + [bad] + words[k + 1:])
+                path.write_text("".join(lines[:n - 1]) + edited + "\n"
+                                + "".join(lines[n:]))
+                assert main(["replay", str(path)]) == 2, (name, n, bad)
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err == (f"error: line {n}: {words[2]} does not "
+                               f"take {bad!r}\n")
+                seen += 1
+    assert seen == 62
+
+
 def test_serre_counts_out_of_range_are_input_errors(tmp_path, capsys):
     # after b8 of gr-to-clifford the decomposition has 7 entries; neither
     # wrap may pass, nor be described as wrapping 0 or 12 of them
