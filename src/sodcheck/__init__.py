@@ -9,3 +9,7 @@ there are no floats anywhere.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Input the program cannot take (the command line exits 2 on it)."""

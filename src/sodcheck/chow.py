@@ -42,6 +42,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from . import InputError
 from .bbw import GR23, GR24, P3, EquivariantBundle, HomFactor, irr
 
 Frac = Fraction
@@ -630,7 +631,7 @@ def ring_blowup(n: int) -> ChowRing:
     label of e_12 would be that of e_1^2.
     """
     if not 0 <= n <= 11:
-        raise ValueError(
+        raise InputError(
             f"the blowup of P3 supports 0 to 11 points, got {n}"
         )
     key = ("blowup", n)

@@ -2,10 +2,15 @@
 scenario replays against the built-in variety catalog.
 
 Exit codes: 0 all checks pass, 1 a check fails, 2 malformed input, 3 an
-internal fault (a non-integral Euler characteristic: the ring data is
-inconsistent, which no input can cause), 141 (128 + SIGPIPE) the reader
-closed standard output early, as ``sodcheck replay ... | head`` does; then
-nothing more is printed.
+internal fault, 141 (128 + SIGPIPE) the reader closed standard output
+early, as ``sodcheck replay ... | head`` does; then nothing more is printed.
+Malformed input is an unknown variety or bundled scenario name, a label
+outside the variety's grammar (or a pair of labels its lattice cannot
+pair), a node count outside 1..11 on a blowup, or a scenario file that
+cannot be read or parsed; each gives one ``error:`` line.  Any other
+fault, such as a non-integral Euler characteristic (inconsistent ring
+data, which no input can cause), is internal: ``internal error:`` and
+exit 3.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ import random
 import sys
 from pathlib import Path
 
-from . import replay as replay_mod
+from . import InputError, replay as replay_mod
 from .bbw import GR24, P3, irr, line
-from .chow import IntegralityError, ch_bundle, ring_gr24, ring_p3
+from .chow import ch_bundle, ring_gr24, ring_p3
 from .kmut import (
     AmbientLattice,
     FormalClass,
@@ -41,11 +46,6 @@ from .varieties import (
 )
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _node_count(text: str) -> int:
     """argparse type of --nodes: a positive integer."""
     try:
@@ -58,6 +58,8 @@ def _node_count(text: str) -> int:
 
 
 def _variety(args):
+    if args.space not in VARIETY_NAMES:
+        raise InputError(f"unknown variety {args.space!r}")
     nodes = DEFAULT_NODES if args.nodes is None else args.nodes
     return get_variety(args.space, nodes)
 
@@ -176,11 +178,9 @@ def cmd_catalog(args) -> int:
 def _load_scenario_arg(arg: str, catalog: str | None):
     path = Path(arg)
     if path.suffix == ".sod" or path.exists():
-        return replay_mod.parse_scenario(path.read_text())
+        return replay_mod.read_scenario(path)
     if catalog:
-        return replay_mod.parse_scenario(
-            (Path(catalog) / f"{arg}.sod").read_text()
-        )
+        return replay_mod.read_scenario(Path(catalog) / f"{arg}.sod")
     return replay_mod.load_scenario(arg)
 
 
@@ -322,11 +322,11 @@ def cmd_verify_all(args) -> int:
     if args.catalog:
         root = Path(args.catalog)
         if not root.is_dir():
-            raise ValueError(f"scenario catalog {root} is not a directory")
+            raise InputError(f"scenario catalog {root} is not a directory")
         paths = sorted(root.glob("*.sod"), key=lambda p: p.stem)
         if not paths:
-            raise ValueError(f"scenario catalog {root} holds no .sod file")
-        scenarios = [replay_mod.parse_scenario(p.read_text()) for p in paths]
+            raise InputError(f"scenario catalog {root} holds no .sod file")
+        scenarios = [replay_mod.read_scenario(p) for p in paths]
     else:
         scenarios = [replay_mod.load_scenario(n)
                      for n in replay_mod.SCENARIOS]
@@ -468,14 +468,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _silence_stdout()
         return 141
-    except IntegralityError as err:
+    except InputError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # noqa: BLE001 - any other fault is internal
         print(f"internal error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, LookupError, ArithmeticError, OSError,
-            replay_mod.ReplayError) as err:
-        if isinstance(err, KeyError) and err.args:
-            return _fail(str(err.args[0]))  # str() would quote the message
-        return _fail(str(err))
 
 
 if __name__ == "__main__":

@@ -40,9 +40,13 @@ MOVERS a SEL or ``each:TEMPLATE``, one mover per node index):
   sublines, optionally checking exceptionality or the split certificate.
 
 ``parse_scenario`` reads each argument once and names the line of a
-missing, unknown or repeated argument, a bad value (no list item may be
-empty), a positional token outside ``serre``, a subline outside
-``insert_block`` or a reused step id.  An unknown kind fails when run.
+missing, unknown or repeated argument, a bad value (no list item or
+selector name may be empty), a positional token outside ``serre``, a
+subline outside ``insert_block``, a reused step id or an unknown variety.
+Labels are read against the variety, which is built only when the scenario
+runs; a label error there names the line of its declaration or step.
+Either way the error is a :class:`MalformedScenario`, the scenario's input
+error, and never a failed check.  An unknown kind fails when run.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
+from . import InputError
 from .kmut import FormalClass
 from .varieties import (
     AXIOMS,
@@ -57,6 +62,7 @@ from .varieties import (
     RULE,
     AXIOM,
     DEFAULT_NODES,
+    VARIETY_NAMES,
     ExtAnswer,
     check_split_certificate,
     get_variety,
@@ -71,8 +77,9 @@ class ReplayError(Exception):
 _MUTANT = "mut:"
 
 
-class MalformedScenario(ReplayError):
-    """A step the scenario cannot mean, found while running it.
+class MalformedScenario(ReplayError, InputError):
+    """The scenario's input error: a line it cannot parse, a label its
+    variety cannot read, or a step it cannot mean.
 
     The scenario is malformed rather than failing, so the runner lets this
     error through and the CLI reports it as bad input.
@@ -172,10 +179,12 @@ class Block:
 # scenario structure
 
 class Step:
-    """A parsed step: its handler and side from the step table (none for
-    an unknown kind), its typed fields and ``insert_block``'s entries."""
+    """A parsed step: its line, its handler and side from the step table
+    (none for an unknown kind), its typed fields and ``insert_block``'s
+    entries."""
 
-    def __init__(self, sid, kind, handler=None, left=None, fields=None):
+    def __init__(self, line, sid, kind, handler=None, left=None, fields=None):
+        self.line = line
         self.sid = sid
         self.kind = kind
         self.handler = handler
@@ -225,6 +234,7 @@ class _Runner:
         self.out: list[str] = []
         self.axioms_used: set[str] = set()
         self.mutants: dict[str, list] = {}
+        self.line = 0  # of the declaration or step being worked on
 
     # ---- helpers
 
@@ -251,7 +261,8 @@ class _Runner:
 
     def build_entries(self, decls) -> list:
         out = []
-        for decl in decls:
+        for line, decl in decls:
+            self.line = line
             if decl[0] == "entry":
                 out.append(self.make_concrete(decl[1], decl[2]))
             elif decl[0] == "family":
@@ -393,6 +404,7 @@ class _Runner:
             self.emit("  " + self.show_state())
             self.gram_check("initial")
             for step in sc.steps:
+                self.line = step.line
                 if step.handler is None:
                     raise ReplayError(f"unknown step kind {step.kind!r}")
                 step.handler(self, step)
@@ -416,6 +428,8 @@ class _Runner:
             passed = True
         except MalformedScenario:
             raise
+        except InputError as err:
+            raise MalformedScenario(f"line {self.line}: {err}") from None
         except ReplayError as err:
             self.emit(f"scenario {sc.name}: FAIL — {err}")
             passed = False
@@ -626,6 +640,7 @@ class _Runner:
         idx = self.find(step.fields["target"])
         target = self.state[idx]
         new_entries = self.build_entries(step.decls)
+        self.line = step.line  # the sublines are built
         self.emit(
             f"step {step.sid}: expand {target.display()} into "
             + "< " + ", ".join(e.display() for e in new_entries) + " >"
@@ -729,20 +744,23 @@ def _node_count(text: str) -> int:
 # Argument readers: each turns one argument's text into its typed value or
 # raises ReplayError.  A selector is a (block|family|each|label, NAME) pair.
 
-def _selector(text: str) -> tuple[str, str]:
-    """``block:NAME``, ``family:NAME`` or a label."""
+def _selector(text: str, each: bool = False) -> tuple[str, str]:
+    """``block:NAME``, ``family:NAME``, a label, or with ``each``
+    ``each:TEMPLATE``; the name may not be empty."""
     kind, colon, name = text.partition(":")
-    if colon and kind == "each":
+    if not (colon and kind in ("block", "family", "each")):
+        kind, name = "label", text
+    if kind == "each" and not each:
         raise ReplayError(
             f"each: is allowed only in movers= and mover=, got {text!r}"
         )
-    if colon and kind in ("block", "family"):
-        return kind, name
-    return "label", text
+    if not name:
+        raise ReplayError(f"selector {text!r} names nothing")
+    return kind, name
 
 
 def _movers(text: str) -> tuple[str, str]:
-    return ("each", text[5:]) if text.startswith("each:") else _selector(text)
+    return _selector(text, each=True)
 
 
 def _destination(text: str):
@@ -750,7 +768,7 @@ def _destination(text: str):
     where, colon, sel = text.partition(":")
     if text in ("front", "end"):
         return text, None
-    if not (colon and where in ("after", "before")):
+    if not (colon and where in ("after", "before") and sel):
         raise ReplayError(f"bad pass destination {text!r}")
     return where, _selector(sel)
 
@@ -819,12 +837,13 @@ _KINDS = {
 }
 
 
-def _parse_step(sid: str, kind: str, rest: str, steps: list) -> Step:
+def _parse_step(line: int, sid: str, kind: str, rest: str,
+                steps: list) -> Step:
     """A step line read against its kind's row of the step table."""
     if any(s.sid == sid for s in steps):
         raise ReplayError(f"step id {sid} is already used")
     if kind not in _KINDS:  # an unknown kind fails when the step runs
-        return Step(sid, kind)
+        return Step(line, sid, kind)
     handler, left, params = _KINDS[kind]
     given, pos = {}, []
     for token in rest.split():
@@ -856,7 +875,7 @@ def _parse_step(sid: str, kind: str, rest: str, steps: list) -> Step:
                 f"identify from={fields['from']} names no earlier mutate "
                 "step whose result is still unidentified"
             )
-    return Step(sid, kind, handler, left, fields)
+    return Step(line, sid, kind, handler, left, fields)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -881,13 +900,15 @@ def parse_scenario(text: str) -> Scenario:
                     raise ReplayError(
                         f"unexpected indented line {line.strip()!r}"
                     )
-                section.append(_parse_entry_line(line))
+                section.append((lineno, _parse_entry_line(line)))
                 continue
             section = None
             if line.startswith("scenario "):
                 name = line.split(None, 1)[1].strip()
             elif line.startswith("variety "):
                 variety_name = line.split(None, 1)[1].strip()
+                if variety_name not in VARIETY_NAMES:
+                    raise ReplayError(f"unknown variety {variety_name!r}")
             elif line.startswith("nodes "):
                 nodes = _node_count(line.split(None, 1)[1])
             elif line.startswith("title "):
@@ -908,15 +929,15 @@ def parse_scenario(text: str) -> Scenario:
                 m = _STEP_RE.match(line)
                 if not m:
                     raise ReplayError(f"cannot parse line {line!r}")
-                step = _parse_step(*m.groups(), steps)
+                step = _parse_step(lineno, *m.groups(), steps)
                 steps.append(step)
                 if step.kind == "insert_block":
                     section = step.decls
         except ReplayError as err:
-            raise ReplayError(f"line {lineno}: {err}") from None
+            raise MalformedScenario(f"line {lineno}: {err}") from None
 
     if not (name and variety_name):
-        raise ReplayError("scenario must declare a name and a variety")
+        raise MalformedScenario("scenario must declare a name and a variety")
     return Scenario(name, variety_name, nodes, title or name, allowed,
                     initial, initial_axioms, steps, expect, closing_note,
                     closing_axioms)
@@ -933,9 +954,23 @@ SCENARIOS = (
 )
 
 
+def read_scenario(path) -> Scenario:
+    """Parse a scenario file; a file that cannot be read is an input
+    error."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise InputError(str(err)) from None
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path} is not UTF-8 text: {err}") from None
+    return parse_scenario(text)
+
+
 def load_scenario(name: str) -> Scenario:
-    path = resources.files("sodcheck") / "scenarios" / f"{name}.sod"
-    return parse_scenario(path.read_text())
+    if name not in SCENARIOS:
+        raise InputError(f"unknown scenario {name!r}")
+    return read_scenario(resources.files("sodcheck") / "scenarios"
+                         / f"{name}.sod")
 
 
 def run_scenario(scenario) -> ReplayResult:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import re
 from math import comb
 
+from . import InputError
 from .bbw import (
     GR23,
     GR24,
@@ -208,14 +209,14 @@ def parse_twist(text: str, symbols) -> dict[str, int]:
     while pos < len(text):
         m = _TWIST_TERM.match(text, pos)
         if not m:
-            raise ValueError(f"cannot parse twist {text!r} at {text[pos:]!r}")
+            raise InputError(f"cannot parse twist {text!r} at {text[pos:]!r}")
         if pos > 0 and not m.group(1):
-            raise ValueError(f"missing sign between terms in twist {text!r}")
+            raise InputError(f"missing sign between terms in twist {text!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) else 1
         sym = m.group(3)
         if sym not in symbols:
-            raise ValueError(f"unknown twist symbol {sym!r} in {text!r}")
+            raise InputError(f"unknown twist symbol {sym!r} in {text!r}")
         out[sym] = out.get(sym, 0) + sign * coeff
         pos = m.end()
     return {s: c for s, c in out.items() if c}
@@ -226,7 +227,7 @@ def _split_twist(label: str) -> tuple[str, str]:
     if label.endswith(")"):
         i = label.find("(")
         if i < 0:
-            raise ValueError(f"unbalanced parentheses in {label!r}")
+            raise InputError(f"unbalanced parentheses in {label!r}")
         return label[:i], label[i + 1:-1]
     return label, ""
 
@@ -482,7 +483,7 @@ class Variety:
         """The key of a line-bundle label, the only thing one twists by."""
         key = self.parse(label)
         if not self.is_line(key):
-            raise ValueError("can only twist by a line-bundle label")
+            raise InputError("can only twist by a line-bundle label")
         return key
 
     def twist_label(self, label: str, by: str) -> str:
@@ -535,9 +536,9 @@ class HomogeneousVariety(Variety):
         written, twist_text = _split_twist(label)
         kind = _bundle_kind(written)
         if kind is None:
-            raise ValueError(f"{self.name} cannot parse label {label!r}")
+            raise InputError(f"{self.name} cannot parse label {label!r}")
         if kind != "O" and not self.grass_kinds:
-            raise ValueError(f"{self.name} only carries line-bundle labels")
+            raise InputError(f"{self.name} only carries line-bundle labels")
         tw = parse_twist(twist_text, set(self.symbols))
         return kind, tuple(tw.get(s, 0) for s in self.symbols)
 
@@ -612,7 +613,7 @@ class NetFourfold(Variety):
         if m:
             i = int(m.group(1))
             if not 1 <= i <= self.planes:
-                raise ValueError(f"plane index out of range in {label!r}")
+                raise InputError(f"plane index out of range in {label!r}")
             return ("plane", i, int(m.group(2) or 0))
         m = _CLIFF.match(label)
         if m:
@@ -623,7 +624,7 @@ class NetFourfold(Variety):
         if kind is not None:
             tw = parse_twist(twist_text, {"g", "h"})
             return ("bundle", kind, tw.get("g", 0), tw.get("h", 0))
-        raise ValueError(f"{self.name} cannot parse label {label!r}")
+        raise InputError(f"{self.name} cannot parse label {label!r}")
 
     def format(self, key) -> str:
         if key[0] == "plane":
@@ -655,7 +656,7 @@ class NetFourfold(Variety):
             return {self.format(key): 1}
         if key[0] == "bundle":
             if key[1] not in ("O", "V/U"):
-                raise ValueError(
+                raise InputError(
                     f"no lattice generator for bundle kind {key[1]!r}"
                 )
             return {self.format(key): 1}
@@ -696,7 +697,10 @@ class NetFourfold(Variety):
                 return 0
             if pa[2] == pb[2]:
                 return 1
-            return None
+            raise InputError(
+                f"{self.name} cannot pair two twists of one plane: "
+                f"{ga!r}, {gb!r}"
+            )
         if pa[0] == "bundle" and pb[0] == "plane":
             return staircase_euler(self._plane_restriction(pa, pb))
         if pa[0] == "plane" and pb[0] == "bundle":
@@ -909,11 +913,11 @@ class BlownProjectiveSpace(Variety):
         if m:
             i = int(m.group(1))
             if not 1 <= i <= self.nodes:
-                raise ValueError(f"plane index out of range in {label!r}")
+                raise InputError(f"plane index out of range in {label!r}")
             return ("eplane", i, int(m.group(2) or 0))
         kind, twist_text = _split_twist(label)
         if kind != "O":
-            raise ValueError(f"{self.name} cannot parse label {label!r}")
+            raise InputError(f"{self.name} cannot parse label {label!r}")
         h, e = self._divisor(twist_text)
         return ("line", h, e)
 
@@ -1042,11 +1046,11 @@ class CoverBlowup(Variety):
         if m:
             i = int(m.group(1))
             if not 1 <= i <= self.nodes:
-                raise ValueError(f"quadric index out of range in {label!r}")
+                raise InputError(f"quadric index out of range in {label!r}")
             return ("quad", i, int(m.group(2) or 0), int(m.group(3) or 0))
         kind, twist_text = _split_twist(label)
         if kind != "O":
-            raise ValueError(f"{self.name} cannot parse label {label!r}")
+            raise InputError(f"{self.name} cannot parse label {label!r}")
         h, e = self.base._divisor(twist_text)
         return ("line", h, e)
 
@@ -1491,7 +1495,7 @@ def _negate_line(key):
     if key[0] == "line":
         _, h, e = key
         return "line", -h, tuple(-c for c in e)
-    raise ValueError("expected a line-bundle label")
+    raise InputError("expected a line-bundle label")
 
 
 # --------------------------------------------------------------------------

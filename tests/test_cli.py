@@ -259,6 +259,48 @@ def test_integrality_failure_is_an_internal_error(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chi", "nosuch", "O"], "unknown variety 'nosuch'"),
+    (["pair", "net_fourfold", "O_Pl1", "O_Pl1(-1)"],
+     "net_fourfold cannot pair two twists of one plane: "
+     "'O_Pl1', 'O_Pl1(-1)'"),
+    (["chi", "net_fourfold", "U"], "no lattice generator for bundle kind 'U'"),
+    (["replay", "nosuch"], "unknown scenario 'nosuch'"),
+    (["replay", "{tmp}/absent.sod"],
+     "[Errno 2] No such file or directory: '{tmp}/absent.sod'"),
+    (["--catalog", "{tmp}", "replay", "missing"],
+     "[Errno 2] No such file or directory: '{tmp}/missing.sod'"),
+    (["replay", "{tmp}/binary.sod"],
+     "{tmp}/binary.sod is not UTF-8 text: 'utf-8' codec can't decode byte "
+     "0xff in position 10: invalid start byte"),
+    (["--nodes", "12", "chi", "blown_p3", "O"],
+     "the blowup of P3 supports 0 to 11 points, got 12"),
+])
+def test_input_errors_exit_two_with_one_error_line(tmp_path, capsys, argv,
+                                                   message):
+    (tmp_path / "binary.sod").write_bytes(b"scenario x\xff\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: " + message.replace("{tmp}", str(tmp_path)) + "\n"
+
+
+def test_an_engine_fault_is_internal_not_an_input_error(capsys, monkeypatch):
+    # the ValueError bbw raises on non-dominant weights is a fault of the
+    # engine, never of a well-formed query
+    from sodcheck import varieties
+
+    def broken(bundle):
+        raise ValueError("weights must be dominant")
+
+    monkeypatch.setattr(varieties, "cohomology", broken)
+    assert main(["bbw", "P3", "O(h)"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: weights must be dominant\n"
+
+
 # --------------------------------------------------------------- closed pipes
 
 class ClosedPipe(io.StringIO):

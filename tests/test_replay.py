@@ -508,8 +508,8 @@ expect:
 
 _UNNAMED = "names no earlier mutate step whose result is still unidentified"
 
-# (scenario name or text, old, new, line, message): each edit either
-# passed, or read as a failed check, until the step table checked it
+# (scenario name or text, old, new, line, message): each edit passed, read
+# as a failed check, or named no line, until parse_scenario checked it
 STEP_TABLE_CASES = [
     ("enriques-split", "require=split_certificate",
      "requires=split_certificate", 20,
@@ -545,6 +545,20 @@ STEP_TABLE_CASES = [
     ("gr-to-clifford", "movers=O(-2g) to=front",
      "movers=O(-2g) to=front to=end", 22,
      "pass_left has to= twice: 'to=end'"),
+    ("gr-to-clifford", "to=after:V/U(-g)\nstep b7", "to=after:\nstep b7", 25,
+     "bad pass destination 'after:'"),
+    ("gr-to-clifford", "to=before:V/U", "to=before:", 20,
+     "bad pass destination 'before:'"),
+    ("gr-to-clifford", "movers=block:SurfD to=end", "movers=block: to=end",
+     27, "selector 'block:' names nothing"),
+    ("enriques-split", "movers=family:Pl", "movers=family:", 24,
+     "selector 'family:' names nothing"),
+    ("cover-blowup-reorder", "mover=each:O_Q{i}", "mover=each:", 42,
+     "selector 'each:' names nothing"),
+    ("cover-blowup-reorder", "to=after:block:CoverRes", "to=after:block:",
+     41, "selector 'block:' names nothing"),
+    ("enriques-split", "variety net_fourfold", "variety orlov_blowup_sod", 6,
+     "unknown variety 'orlov_blowup_sod'"),
 ]
 
 
@@ -598,6 +612,23 @@ def test_every_misspelt_argument_name_is_an_input_error(tmp_path, capsys):
                                f"take {bad!r}\n")
                 seen += 1
     assert seen == 62
+
+
+@pytest.mark.parametrize("source, old, new, line, message", [
+    ("enriques-split", "  entry O\n  block", "  entry O:\n  block", 17,
+     "net_fourfold cannot parse label 'O:'"),
+    ("gr-to-clifford", "as=Cliff_0(-g)", "as=Cliff_0(-q)", 24,
+     "unknown twist symbol 'q' in '-q'"),
+])
+def test_label_errors_at_run_time_name_their_line(tmp_path, capsys, source,
+                                                  old, new, line, message):
+    # labels are read only once the variety is built, when the replay runs
+    path = tmp_path / "edited.sod"
+    path.write_text(_edited(source, old, new))
+    assert main(["replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line {line}: {message}\n"
 
 
 def test_serre_counts_out_of_range_are_input_errors(tmp_path, capsys):

@@ -4,7 +4,8 @@ Each mutant deletes, duplicates or retypes one line of a bundled ``.sod``
 file (a retyped line has one token swapped for a token of another line).
 Whatever the damage, the replay must end in a verdict or a clean input
 error: exit 0, 1 or 2, no escaping exception, and an exit 2 leaves exactly
-one ``error:`` line on stderr.
+one ``error:`` line on stderr.  That line names the line at fault, unless
+the file as a whole lacks its name or variety.
 """
 
 import random
@@ -65,5 +66,8 @@ def test_mutated_scenarios_end_in_a_verdict_or_an_input_error(
         if code == 2:
             errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
             assert len(errors) == 1, f"{what}: stderr {err!r}"
+            assert errors[0].startswith("error: line ") or errors[0] == (
+                "error: scenario must declare a name and a variety"
+            ), f"{what}: {errors[0]}"
     # the mutants reach all three outcomes
     assert all(exits.values()), exits
