@@ -13,10 +13,12 @@ bilinear form on A(X)_Q (Fulton, Intersection Theory, Sec. 15).  For a
 weight class w (1 for plain chi) a ring builds, on first use, the linear
 form T_k = deg(b_k . w . td) and the pairing matrix
 P_ij = sum_m mul(i, j)[m] T_m, both as integers over one denominator, and
-caches them.  chi(x) is T.x and chi(a, b) is sum (-1)^codim(i) a_i P_ij b_j,
-evaluated on each class's integer numerators.  The final rational is
-asserted to be an integer (`IntegralityError` otherwise), which is a real
-consistency check of the tables.
+caches them.  chi(x) is T.x and chi(a, b) is a . (P.b): the image
+(P.b)_i = (-1)^codim(i) sum_j P_ij b_j of the right argument is computed on
+its integer numerators once per class and form and kept on the class, so
+a pairing is one sparse dot product with a's numerators.  The final
+rational is asserted to be an integer on every call (`IntegralityError`
+otherwise), which is a real consistency check of the tables.
 
 Two kinds of rings are provided:
 
@@ -130,10 +132,12 @@ class ChowClass(IntVector):
 
     The constructor takes a dense vector of rationals over the basis, and
     ``coeffs`` reads one back as `Fraction`s; everything else works on the
-    integer form.
+    integer form.  ``_images`` maps each `PairingForm` the class has been
+    the right argument of to its image under that form; it is set on first
+    use and takes no part in equality or hashing.
     """
 
-    __slots__ = ()
+    __slots__ = ("_images",)
 
     def __init__(self, ring: "ChowRing", coeffs: Sequence):
         coeffs = [c if type(c) is Frac else Frac(c) for c in coeffs]
@@ -621,18 +625,23 @@ def ring_gr24_p3() -> ChowRing:
     return ring_product(ring_gr24(), ring_p3())
 
 
+#: the most points a blowup ring takes: from 12 on, the label of e_12 would
+#: be that of e_1^2
+BLOWUP_MAX_POINTS = 11
+
+
 def ring_blowup(n: int) -> ChowRing:
     """Blowup of projective 3-space in n general points.
 
     Basis 1, h, e_1..e_n, h^2, e_1^2..e_n^2, pt with relations
     h.e_i = 0, e_i.e_j = 0 (i != j), h^3 = pt, e_i^3 = pt.
     The second Chern class of the tangent bundle is pinned by requiring
-    chi(O) = 1 and chi(O(-e_i)) = 0.  At most 11 points: from 12 on, the
-    label of e_12 would be that of e_1^2.
+    chi(O) = 1 and chi(O(-e_i)) = 0.  At most `BLOWUP_MAX_POINTS` points.
     """
-    if not 0 <= n <= 11:
+    if not 0 <= n <= BLOWUP_MAX_POINTS:
         raise InputError(
-            f"the blowup of P3 supports 0 to 11 points, got {n}"
+            f"the blowup of P3 supports 0 to {BLOWUP_MAX_POINTS} points, "
+            f"got {n}"
         )
     key = ("blowup", n)
     if key in _CACHE:
@@ -713,7 +722,10 @@ class PairingForm:
 
     ``linear[k]`` is D T_k with T_k = deg(b_k . w . td), and ``rows[i][j]``
     is D (-1)^codim(i) P_ij with P_ij = sum_m mul(i, j)[m] T_m, all over the
-    one denominator ``den`` = D, in lowest terms.
+    one denominator ``den`` = D, in lowest terms.  ``pair(a, b)`` is
+    a . (P.b): the image P.b, one dense integer list over the basis, is
+    kept on b per form, so pairing many classes against one b builds it
+    once.
     """
 
     __slots__ = ("ring", "den", "linear", "rows")
@@ -758,13 +770,23 @@ class PairingForm:
         total = sum(linear[i] * v for i, v in x.nums.items())
         return self._integer(total, x.den * self.den)
 
-    def pair(self, a: ChowClass, b: ChowClass) -> int:
-        rows = self.rows
+    def image(self, b: ChowClass) -> list[int]:
+        """P.b on b's numerators, kept on b under this form."""
+        try:
+            return b._images[self]
+        except AttributeError:
+            b._images = {}
+        except KeyError:
+            pass
         theirs = b.nums.items()
-        total = 0
-        for i, x in a.nums.items():
-            row = rows[i]
-            total += x * sum(row[j] * y for j, y in theirs)
+        img = b._images[self] = [
+            sum(row[j] * y for j, y in theirs) for row in self.rows
+        ]
+        return img
+
+    def pair(self, a: ChowClass, b: ChowClass) -> int:
+        img = self.image(b)
+        total = sum(x * img[i] for i, x in a.nums.items())
         return self._integer(total, a.den * b.den * self.den)
 
 

@@ -55,6 +55,7 @@ import re
 from importlib import resources
 
 from . import InputError
+from .chow import BLOWUP_MAX_POINTS
 from .kmut import FormalClass
 from .varieties import (
     AXIOMS,
@@ -730,6 +731,10 @@ def _parse_entry_line(line: str):
     raise ReplayError(f"unknown entry declaration {line!r}")
 
 
+#: the varieties built on the blowup ring, which bounds their node count
+_BLOWUPS = ("blown_p3", "double_cover_blowup")
+
+
 def _node_count(text: str) -> int:
     """The value of a ``nodes`` line: a positive integer."""
     try:
@@ -880,7 +885,7 @@ def _parse_step(line: int, sid: str, kind: str, rest: str,
 
 def parse_scenario(text: str) -> Scenario:
     name = variety_name = title = None
-    nodes = DEFAULT_NODES
+    nodes, nodes_line = DEFAULT_NODES, None
     allowed: set[str] = set()
     initial: list = []
     initial_axioms: list[str] = []
@@ -911,6 +916,7 @@ def parse_scenario(text: str) -> Scenario:
                     raise ReplayError(f"unknown variety {variety_name!r}")
             elif line.startswith("nodes "):
                 nodes = _node_count(line.split(None, 1)[1])
+                nodes_line = lineno
             elif line.startswith("title "):
                 title = line.split(None, 1)[1].strip().strip('"')
             elif line.startswith("allow_axioms"):
@@ -938,6 +944,11 @@ def parse_scenario(text: str) -> Scenario:
 
     if not (name and variety_name):
         raise MalformedScenario("scenario must declare a name and a variety")
+    if variety_name in _BLOWUPS and nodes > BLOWUP_MAX_POINTS:
+        raise MalformedScenario(
+            f"line {nodes_line}: the blowup of P3 supports 0 to "
+            f"{BLOWUP_MAX_POINTS} points, got {nodes}"
+        )
     return Scenario(name, variety_name, nodes, title or name, allowed,
                     initial, initial_axioms, steps, expect, closing_note,
                     closing_axioms)

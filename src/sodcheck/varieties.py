@@ -44,12 +44,14 @@ double-cover lattice check, and the ideal-sheaf shadow check.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import comb
 
 from . import InputError
 from .bbw import (
     GR23,
     GR24,
+    KERNEL_CACHE,
     P3,
     EquivariantBundle,
     HomFactor,
@@ -1365,6 +1367,8 @@ def double_cover_check(base_name: str, polarization: str, collection,
     unitriangular on the collection and satisfies cover Serre duality;
     (iv) an independent Euler route re-derives the cover pairing.  The
     labels are parsed once; all twisting and pairing happens on keys.
+    Each cover pairing is computed once and kept for the items that ask
+    for it again; every item still checks every pair.
     """
     base = get_variety(base_name, nodes)
     pol = base._line(polarization)
@@ -1410,12 +1414,17 @@ def double_cover_check(base_name: str, polarization: str, collection,
     ))
 
     # (iii) cover-side pairing by doubling
+    cover: dict = {}
+
     def cover_chi(x, y) -> int:
-        direct = base.lattice.pair(base._class(x), base._class(y))
-        down = base.lattice.pair(
-            base._class(x), base._class(base.twist(y, neg))
-        )
-        return direct + down
+        val = cover.get((x, y))
+        if val is None:
+            direct = base.lattice.pair(base._class(x), base._class(y))
+            down = base.lattice.pair(
+                base._class(x), base._class(base.twist(y, neg))
+            )
+            val = cover[(x, y)] = direct + down
+        return val
 
     tri_ok = is_unitriangular([[cover_chi(x, y) for y in keys] for x in keys])
     items.append((
@@ -1478,13 +1487,23 @@ def line_euler_by_peeling(base, dh: int, de) -> int:
     for i, a in enumerate(de):
         if a > 0:
             de[i] -= 1
-            return (line_euler_by_peeling(base, dh, de)
-                    + _euler_sum(_p2_cohomology(-a)))
+            return line_euler_by_peeling(base, dh, de) + _p2_euler(-a)
         if a < 0:
             de[i] += 1
-            return (line_euler_by_peeling(base, dh, de)
-                    - _euler_sum(_p2_cohomology(-a - 1)))
-    return cohomology(line((P3,), (dh,))).euler()
+            return line_euler_by_peeling(base, dh, de) - _p2_euler(-a - 1)
+    return _p3_euler(dh)
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _p2_euler(t: int) -> int:
+    """chi(O(t)) on the projective plane, by the weight staircase."""
+    return _euler_sum(_p2_cohomology(t))
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _p3_euler(t: int) -> int:
+    """chi(O(t)) on projective 3-space, by the weight staircase."""
+    return cohomology(line((P3,), (t,))).euler()
 
 
 def _negate_line(key):

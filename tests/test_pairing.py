@@ -7,8 +7,9 @@ taken by plain ring products, on integer combinations of genuine characters
 sheaves on the blowups), together with bilinearity, Serre duality, the
 closed-form blowup line characters, the fourfold's single Koszul-weight
 form, the integer form each class stores (cross-checked against plain
-`Fraction` arithmetic on the dense coefficient vectors) and the integrality
-guard on every route.  Property runs are derandomized, so the suite stays
+`Fraction` arithmetic on the dense coefficient vectors), the image P.b each
+class keeps per form, and the integrality guard on every route, on first
+and later calls.  Property runs are derandomized, so the suite stays
 deterministic.
 """
 
@@ -308,6 +309,52 @@ def test_kept_numerators_pair_like_the_textbook_formula(name):
             assert euler_pairing(ring, a, b) == want
 
 
+# ------------------------------------------------------- the kept image
+
+def _integral_classes(ring, seed, count):
+    """Seeded classes scaled so that every pairing of two is integral."""
+    classes = _seeded_classes(random.Random(seed), ring, count)
+    return [x.scale(_lcm_form(x)[1] * _form_den(ring)) for x in classes]
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_kept_image_pairs_like_the_textbook_formula(name):
+    ring = RINGS[name]()
+    lefts = _integral_classes(ring, 2001, 6)
+    rights = _integral_classes(ring, 2002, 6)
+    want = {(i, j): reference_pairing(ring, a, b)
+            for i, a in enumerate(lefts) for j, b in enumerate(rights)}
+    # one b against many a's: the first pairing stores b's image, the
+    # rest and a second round read it
+    for j, b in enumerate(rights):
+        assert not hasattr(b, "_images")
+        for _ in range(2):
+            for i, a in enumerate(lefts):
+                assert euler_pairing(ring, a, b) == want[i, j]
+        assert list(b._images) == [ring._forms[None]]
+    # one a against many b's, each b fresh, then again with images kept
+    fresh = [ChowClass(ring, b.coeffs) for b in rights]
+    for i, a in enumerate(lefts):
+        for _ in range(2):
+            for j, b in enumerate(fresh):
+                assert euler_pairing(ring, a, b) == want[i, j]
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_pairing_leaves_equality_and_hash_alone(name):
+    ring = RINGS[name]()
+    classes = _integral_classes(ring, 2003, 4)
+    copies = [ChowClass(ring, x.coeffs) for x in classes]
+    hashes = [hash(x) for x in classes]
+    for a in classes:
+        for b in classes:
+            euler_pairing(ring, a, b)
+    for x, copy, h in zip(classes, copies, hashes):
+        assert hasattr(x, "_images") and not hasattr(copy, "_images")
+        assert x == copy and copy == x and hash(x) == hash(copy) == h
+    assert {x: k for k, x in enumerate(classes)}[copies[-1]] == 3
+
+
 # ------------------------------------------------------ integrality guard
 
 @pytest.mark.parametrize("make,point", [
@@ -317,12 +364,17 @@ def test_kept_numerators_pair_like_the_textbook_formula(name):
 def test_integrality_guard_on_every_route(make, point):
     ring = make()
     half = ring.monomial(point, F(1, 2))
+    one = ring.one()
+    assert euler_pairing(ring, one, one) == 1  # stores one's image
     with pytest.raises(IntegralityError):
         chi(ring, half)
-    with pytest.raises(IntegralityError):
-        euler_pairing(ring, ring.one(), half)
-    with pytest.raises(IntegralityError):
-        euler_pairing(ring, half, ring.one())
+    # twice each way: the second call reads the image the first stored
+    for _ in range(2):
+        with pytest.raises(IntegralityError):
+            euler_pairing(ring, one, half)
+        with pytest.raises(IntegralityError):
+            euler_pairing(ring, half, one)
+    assert hasattr(half, "_images")
 
 
 def test_integrality_guard_on_the_fourfold_form():
@@ -330,8 +382,13 @@ def test_integrality_guard_on_the_fourfold_form():
     four = get_variety("net_fourfold")
     amb, weight = four.ambient_ring, four._om_weight
     half = amb.one().scale(F(1, 2))
-    assert chi(amb, amb.one(), weight=weight) == 1
+    one = amb.one()
+    assert chi(amb, one, weight=weight) == 1
     with pytest.raises(IntegralityError):
         chi(amb, half, weight=weight)
-    with pytest.raises(IntegralityError):
-        euler_pairing(amb, amb.one(), half, weight=weight)
+    for _ in range(2):
+        with pytest.raises(IntegralityError):
+            euler_pairing(amb, one, half, weight=weight)
+        with pytest.raises(IntegralityError):
+            euler_pairing(amb, half, one, weight=weight)
+    assert list(half._images) == [amb._forms[weight]]

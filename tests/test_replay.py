@@ -559,6 +559,13 @@ STEP_TABLE_CASES = [
      41, "selector 'block:' names nothing"),
     ("enriques-split", "variety net_fourfold", "variety orlov_blowup_sod", 6,
      "unknown variety 'orlov_blowup_sod'"),
+    ("blown-p3-doubling", "nodes 10", "nodes 12", 7,
+     "the blowup of P3 supports 0 to 11 points, got 12"),
+    ("cover-blowup-reorder", "nodes 10", "nodes 12", 9,
+     "the blowup of P3 supports 0 to 11 points, got 12"),
+    ("blown-p3-doubling", "variety blown_p3\nnodes 10",
+     "nodes 40\nvariety blown_p3", 6,
+     "the blowup of P3 supports 0 to 11 points, got 40"),
 ]
 
 

@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+from sodcheck import varieties
 from sodcheck.bbw import GR24, irr, line
 from sodcheck.varieties import (
     AXIOMS,
@@ -443,6 +444,21 @@ def test_double_cover_items_on_blowup(nodes):
     rep = double_cover_check("blown_p3", "O(H)", collection, nodes=nodes)
     assert rep.items == _cover_items(
         (True,) * 5, "O(H)", 2 * (nodes + 2), "chi-level", nodes + 2,
+        "exceptional-layer peeling",
+    )
+
+
+def test_cover_memo_leaves_the_independent_route_checked(monkeypatch):
+    # the pairings kept for the later items must not stand in for the
+    # independent route: a peeling off by one at the single P3 twist 1,
+    # which only some pairs reach, fails item 5 alone
+    real = varieties._p3_euler
+    monkeypatch.setattr(varieties, "_p3_euler",
+                        lambda t: real(t) + (t == 1))
+    rep = double_cover_check("blown_p3", "O(H)", _blowup_collection(10),
+                             nodes=10)
+    assert rep.items == _cover_items(
+        (True, True, True, True, False), "O(H)", 24, "chi-level", 12,
         "exceptional-layer peeling",
     )
 
