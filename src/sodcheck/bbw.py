@@ -40,12 +40,17 @@ twists, tensor summands, Bott results) is built by the trusted
 arguments and are memoised in bounded ``lru_cache``s: ``bott_factor`` on
 (factor, sub, quot) and ``_tensor_weights`` on (rank, a, b), which returns a
 tuple so that a cached value cannot be mutated.  Bundles, complexes and
-answers are not memoised here.
+answers are not memoised here.  Terms, bundles and complexes are immutable
+(``TermComplex.slots`` is a read-only mapping), so a complex can be shared:
+the constant complexes of the catalog (the incidence Koszul complex, the
+surface structure and ideal complexes, the plane Koszul complex) are built
+once, in ``varieties``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .gl_weights import KERNEL_CACHE, Weight, dualize, tensor_rank2, weyl_dim
@@ -383,16 +388,25 @@ class Indeterminate:
 
 
 class TermComplex:
-    """A finite complex of equivariant bundles; slot p maps to slot p - 1."""
+    """A finite complex of equivariant bundles; slot p maps to slot p - 1.
+
+    Immutable, like its bundles (``slots`` is a read-only mapping), so one
+    complex can be shared by every caller.
+    """
 
     __slots__ = ("space", "slots")
 
     def __init__(self, space, slots: dict[int, EquivariantBundle]):
-        self.space = tuple(space)
-        self.slots = {int(p): b for p, b in slots.items() if b.terms}
+        object.__setattr__(self, "space", tuple(space))
+        object.__setattr__(self, "slots", MappingProxyType(
+            {int(p): b for p, b in slots.items() if b.terms}
+        ))
         for b in self.slots.values():
             if b.space != self.space:
                 raise ValueError("all slots must live on the complex's space")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TermComplex is immutable")
 
     def twist(self, twists: Sequence[int]) -> "TermComplex":
         return TermComplex(

@@ -20,13 +20,19 @@ tests sample those domains by projecting with the opposite mutation first.
 Membership of a class in the integer span of a relation set is decided by
 Smith normal form over the integers, and every positive answer carries a
 certificate (the integer combination) that is re-verified by multiplication.
+Each matrix is factorised once: ``_smith_factor`` keeps (diag, U, V) as
+tuples in a bounded ``lru_cache`` keyed by the matrix, and
+``smith_normal_form`` hands out fresh lists.  The certificate is still
+rebuilt and re-checked against the relations on every membership call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .chow import IntVector, euler_pairing
+from .gl_weights import KERNEL_CACHE
 
 
 # --------------------------------------------------------------------------
@@ -40,9 +46,17 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     """U * A * V = D with U, V unimodular and D in Smith normal form.
 
     Returns (diag, U, V) where diag is the list of diagonal entries of D
-    (nonnegative, each dividing the next, zeros at the end).
+    (nonnegative, each dividing the next, zeros at the end).  The lists are
+    fresh copies of the memoised factorisation, so callers may change them.
     """
-    a = [list(map(int, row)) for row in matrix]
+    diag, u, v = _smith_factor(tuple(tuple(map(int, row)) for row in matrix))
+    return list(diag), [list(row) for row in u], [list(row) for row in v]
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _smith_factor(matrix: tuple[tuple[int, ...], ...]):
+    """The Smith factorisation of one matrix, as immutable tuples."""
+    a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     u = _identity(m)
@@ -126,8 +140,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             u[t] = [-x for x in u[t]]
         t += 1
 
-    diag = [a[i][i] for i in range(min(m, n))]
-    return diag, u, v
+    diag = tuple(a[i][i] for i in range(min(m, n)))
+    return diag, tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def relation_membership(relations: Sequence[Sequence[int]],
@@ -148,7 +162,8 @@ def relation_membership(relations: Sequence[Sequence[int]],
     diag, u, v = smith_normal_form(rows)
     m = len(rows)
     # y . A = t  <=>  (y U^-1) D = t V; w := y U^-1
-    tv = [sum(target[i] * v[i][j] for i in range(n)) for j in range(n)]
+    nonzero = [(i, t) for i, t in enumerate(target) if t]
+    tv = [sum(t * v[i][j] for i, t in nonzero) for j in range(n)]
     w = [0] * m
     for j in range(n):
         d = diag[j] if j < len(diag) else 0

@@ -44,7 +44,7 @@ double-cover lattice check, and the ideal-sheaf shadow check.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 
 from . import InputError
@@ -328,12 +328,14 @@ def _double_bundle(kind_a, ga, kind_b, gb) -> EquivariantBundle:
     return b.twist((ga, gb)) if (ga or gb) else b
 
 
+@cache
 def incidence_koszul() -> TermComplex:
     """Koszul resolution of the incidence structure sheaf on Gr x Gr.
 
     The rank-6 bundle cutting out the incidence locus splits each exterior
     power into irreducible summands; slot p must have total rank C(6, p),
-    which is asserted.
+    which is asserted.  Built once and shared, like the three constant
+    complexes below (a ``TermComplex`` is immutable).
     """
     slots = {
         0: _double_bundle("O", 0, "O", 0),
@@ -365,6 +367,7 @@ def incidence_koszul() -> TermComplex:
     return cx
 
 
+@cache
 def surface_structure_complex() -> TermComplex:
     """Three-term complex on the Grassmannian equivalent to the structure
     sheaf of the degeneracy surface, obtained by collapsing the second
@@ -375,6 +378,7 @@ def surface_structure_complex() -> TermComplex:
     return pushed
 
 
+@cache
 def surface_ideal_complex() -> TermComplex:
     """Two-term complex equivalent to the (twisted-back) ideal sheaf of the
     degeneracy surface: drop the trivial slot of the structure complex."""
@@ -397,6 +401,7 @@ def fourfold_structure_complex() -> TermComplex:
     )
 
 
+@cache
 def plane_koszul() -> TermComplex:
     """Koszul resolution of the distinguished plane inside the Grassmannian
     (the sub-Grassmannian of planes through the marked subspace)."""
@@ -704,11 +709,11 @@ class NetFourfold(Variety):
                 f"{ga!r}, {gb!r}"
             )
         if pa[0] == "bundle" and pb[0] == "plane":
-            return staircase_euler(self._plane_restriction(pa, pb))
+            return _plane_euler(pa[1], pb[2] - pa[2])
         if pa[0] == "plane" and pb[0] == "bundle":
-            # Serre duality on the fourfold; even dimension keeps the sign
-            shifted = ("plane", pa[1], pa[2] - 1)
-            return staircase_euler(self._plane_restriction(pb, shifted))
+            # Serre duality on the fourfold against the plane twisted by -1;
+            # even dimension keeps the sign
+            return _plane_euler(pb[1], pa[2] - 1 - pb[2])
         return None
 
     def _bundle(self, parsed) -> EquivariantBundle:
@@ -784,7 +789,8 @@ class NetFourfold(Variety):
         """Staircase for Ext(bundle, plane sheaf): restrict and twist.
 
         The projective-space direction is trivial on the plane, so only the
-        Grassmannian part of the bundle survives restriction.
+        Grassmannian part of the bundle survives restriction.  Its Euler
+        number depends on the kind and c - g only (``_plane_euler``).
         """
         _, kind, ga, _ = pbundle
         _, _, c = pplane
@@ -870,6 +876,16 @@ class NetFourfold(Variety):
         return ExtAnswer(
             None, chi, CHI_ONLY, "Clifford splice, Euler only", axioms
         )
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _plane_euler(kind: str, s: int) -> int:
+    """chi(bundle of ``kind``, plane sheaf twisted ``s`` past the bundle's
+    Grassmannian twist) on the fourfold, by the plane restriction
+    staircase."""
+    return staircase_euler(
+        plane_cohomology(_gr_bundle(kind).dual().twist((s,)))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1452,7 +1468,7 @@ def double_cover_check(base_name: str, polarization: str, collection,
 
         def indep_chi(x, y) -> int:
             _, dh, de = base.twist(y, _negate_line(x))
-            return line_euler_by_peeling(base, dh, de)
+            return line_euler_by_peeling(dh, de)
     else:
         route = "weight staircase"
 
@@ -1474,7 +1490,7 @@ def double_cover_check(base_name: str, polarization: str, collection,
     return CoverReport(items)
 
 
-def line_euler_by_peeling(base, dh: int, de) -> int:
+def line_euler_by_peeling(dh: int, de) -> int:
     """Euler characteristic of a line bundle on the blowup, by layer peeling.
 
     Independent of the intersection-theory route: peels one exceptional
@@ -1487,10 +1503,10 @@ def line_euler_by_peeling(base, dh: int, de) -> int:
     for i, a in enumerate(de):
         if a > 0:
             de[i] -= 1
-            return line_euler_by_peeling(base, dh, de) + _p2_euler(-a)
+            return line_euler_by_peeling(dh, de) + _p2_euler(-a)
         if a < 0:
             de[i] += 1
-            return line_euler_by_peeling(base, dh, de) - _p2_euler(-a - 1)
+            return line_euler_by_peeling(dh, de) - _p2_euler(-a - 1)
     return _p3_euler(dh)
 
 

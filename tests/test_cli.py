@@ -3,11 +3,14 @@
 import io
 import json
 import sys
+from collections import Counter
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from sodcheck import kmut, varieties
 from sodcheck.cli import main
 
 
@@ -370,6 +373,51 @@ def test_verify_all_from_a_catalog_directory(tmp_path, capsys):
     # scenarios run in file-name order here, in catalog order without
     # --catalog, so only the set of lines is the same
     assert sorted(out.splitlines()) == sorted(VERIFY_ALL.splitlines())
+
+
+#: computations of each constant lattice fact in one verify-all, from
+#: empty caches: one per distinct relation matrix, (kind, c - g) pair and
+#: constant complex
+VERIFY_ALL_WORK = {
+    (kmut, "_smith_factor"): 6,
+    (varieties, "_plane_euler"): 3,
+    (varieties, "incidence_koszul"): 1,
+    (varieties, "surface_structure_complex"): 1,
+    (varieties, "surface_ideal_complex"): 1,
+    (varieties, "plane_koszul"): 1,
+}
+#: plane staircases in one verify-all: 20 for the Ext route to a plane, 6
+#: for the split certificate's side conditions and 3 under ``_plane_euler``
+VERIFY_ALL_PLANE_STAIRCASES = 29
+
+
+def test_verify_all_computes_each_constant_fact_once(capsys, monkeypatch):
+    # every memoised function is swapped for an empty cache of the same
+    # body that counts its runs; the variety registry starts empty too, so
+    # no lattice's pairing memo carries over from an earlier test
+    counts = Counter()
+
+    def counting(name, body):
+        def counted(*args):
+            counts[name] += 1
+            return body(*args)
+        return counted
+
+    for (module, name) in VERIFY_ALL_WORK:
+        body = getattr(module, name).__wrapped__
+        monkeypatch.setattr(
+            module, name, lru_cache(maxsize=None)(counting(name, body))
+        )
+    monkeypatch.setattr(varieties, "plane_cohomology", counting(
+        "plane_cohomology", varieties.plane_cohomology
+    ))
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    code, out = run(capsys, "verify-all")
+    assert (code, out) == (0, VERIFY_ALL)
+    assert counts.pop("plane_cohomology") == VERIFY_ALL_PLANE_STAIRCASES
+    assert counts == {
+        name: n for (_, name), n in VERIFY_ALL_WORK.items()
+    }
 
 
 @pytest.mark.parametrize("make", ["missing", "empty"])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sodcheck import kmut
 from sodcheck.bbw import GR24, P3, irr, line
 from sodcheck.chow import ch_bundle, ring_gr24, ring_p3
 from sodcheck.kmut import (
@@ -106,6 +107,53 @@ def test_snf_rank_deficient():
     a = [[2, 4], [4, 8], [6, 12]]
     diag = _check_snf(a)
     assert diag == [2, 0]
+
+
+def test_memoised_factorisation_matches_a_fresh_run():
+    rng = random.Random(43)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        key = tuple(map(tuple, a))
+        fresh = kmut._smith_factor.__wrapped__(key)
+        first = _check_snf(a)
+        hits = kmut._smith_factor.cache_info().hits
+        diag, u, v = smith_normal_form(a)
+        assert kmut._smith_factor.cache_info().hits == hits + 1
+        assert diag == first == list(fresh[0])
+        assert u == [list(r) for r in fresh[1]]
+        assert v == [list(r) for r in fresh[2]]
+
+
+def test_smith_results_are_fresh_lists():
+    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    diag, u, v = smith_normal_form(a)
+    expect = ([list(diag)], [list(r) for r in u], [list(r) for r in v])
+    diag.append(99)
+    u[0][0] += 5
+    v[1] = [0, 0, 0]
+    again = smith_normal_form(a)
+    assert ([again[0]], again[1], again[2]) == expect
+    assert again[0] == [2, 6, 12]
+
+
+def test_corrupted_factorisation_fails_the_certificate_check(monkeypatch):
+    # unimodular relations: every invariant factor is 1, so no divisibility
+    # test can reject the target, and only the certificate check is left
+    rels = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    target = [1, 2, 1]
+    assert relation_membership(rels, target) == (True, [1, 1, 0])
+    real = kmut._smith_factor
+
+    def corrupted(matrix):
+        diag, u, v = real(matrix)
+        bad = [list(r) for r in v]
+        bad[0][0] += 1
+        return diag, u, tuple(map(tuple, bad))
+
+    monkeypatch.setattr(kmut, "_smith_factor", corrupted)
+    assert relation_membership(rels, target) == (False, None)
 
 
 def test_membership_basic():

@@ -24,6 +24,8 @@ from sodcheck.varieties import (
     line_euler_by_peeling,
     projection_shadow_report,
     plane_cohomology,
+    plane_koszul,
+    staircase_euler,
     surface_cohomology,
     surface_ideal_complex,
     surface_structure_complex,
@@ -100,6 +102,24 @@ def test_surface_invariants():
     tw = surface_cohomology(gr_line(1))
     assert tw.determinate
     assert sum((-1) ** k * d for k, d in tw.dims().items()) == 6
+
+
+@pytest.mark.parametrize("build", [
+    incidence_koszul, surface_structure_complex, surface_ideal_complex,
+    plane_koszul,
+])
+def test_constant_complexes_are_shared_and_immutable(build):
+    cx = build()
+    assert build() is cx
+    with pytest.raises(AttributeError):
+        cx.slots = {}
+    with pytest.raises(AttributeError):
+        cx.space = ()
+    with pytest.raises(TypeError):
+        cx.slots[9] = cx.slots[0]
+    with pytest.raises(TypeError):
+        del cx.slots[0]
+    assert 9 not in build().slots and 0 in build().slots
 
 
 def test_plane_restriction_values():
@@ -266,6 +286,33 @@ def test_symmetric_power_kinds_have_one_written_form(written, canon):
     assert gr.parse(written) == gr.parse(canon)
 
 
+@pytest.mark.parametrize("kind", ["O", "U", "Uv", "V/U", "V/Uv", "S2U"])
+def test_plane_euler_matches_the_plane_restriction_route(kind):
+    # the memoised chi reads only (kind, c - g); the Ext route's staircase
+    # restricts the bundle with its own twists to the twisted plane
+    for s in range(-6, 7):
+        for g, h in ((0, 0), (2, -1), (-3, 4)):
+            bundle = ("bundle", kind, g, h)
+            plane = ("plane", 3, g + s)
+            old = staircase_euler(M._plane_restriction(bundle, plane))
+            assert varieties._plane_euler(kind, s) == old, (kind, s, g)
+
+
+def test_fourfold_pair_oracle_plane_branches_match_the_staircase():
+    for kind in ("O", "V/U"):
+        for g, h, c in ((0, 0, 0), (1, -2, 0), (-2, 1, 3), (0, 3, -4)):
+            bundle = ("bundle", kind, g, h)
+            plane = ("plane", 5, c)
+            shifted = ("plane", 5, c - 1)
+            a, p = M.format(bundle), M.format(plane)
+            assert M._pair_oracle(a, p) == staircase_euler(
+                M._plane_restriction(bundle, plane)
+            )
+            assert M._pair_oracle(p, a) == staircase_euler(
+                M._plane_restriction(bundle, shifted)
+            )
+
+
 # ----------------------------------------------------- blown projective 3-space
 
 def test_blowup_label_algebra():
@@ -330,9 +377,9 @@ def _line_label(dh, de):
 
 
 def test_peeling_anchors():
-    assert line_euler_by_peeling(Y, 0, [0] * 10) == 1
-    assert line_euler_by_peeling(Y, -2, [1] * 10) == 0
-    assert line_euler_by_peeling(Y, 3, [-1] * 10) == 10
+    assert line_euler_by_peeling(0, [0] * 10) == 1
+    assert line_euler_by_peeling(-2, [1] * 10) == 0
+    assert line_euler_by_peeling(3, [-1] * 10) == 10
 
 
 def test_peeling_matches_lattice_chi():
@@ -342,7 +389,7 @@ def test_peeling_matches_lattice_chi():
         dh = rng.randint(-4, 4)
         de = [rng.randint(-2, 2) for _ in range(4)]
         label = _line_label(dh, de)
-        assert line_euler_by_peeling(base, dh, de) == base.chi("O", label), (
+        assert line_euler_by_peeling(dh, de) == base.chi("O", label), (
             label
         )
 
