@@ -57,8 +57,8 @@ class IntVector:
     ``den`` is the common denominator, sharing no factor with all of them,
     so equal vectors store equal forms.  ``home`` is the ring or lattice
     the vector lives in.  `ChowClass` (keys are basis indices) and
-    `kmut.FormalClass` (generator names) share this arithmetic.  A vector
-    never changes after construction.
+    `kmut.FormalClass` (keys are generators, for a variety its own keys)
+    share this arithmetic.  A vector never changes after construction.
     """
 
     __slots__ = ("home", "nums", "den")

@@ -132,7 +132,7 @@ def cmd_mutate(args) -> int:
     else:
         out = mutate_right(v.lattice, e, f)
     if isinstance(out, FormalClass):
-        shown = {k: c for k, c in sorted(out.coeffs.items()) if c}
+        shown = dict(sorted((v.format(k), c) for k, c in out.coeffs.items()))
         print(json.dumps(shown, sort_keys=True) if args.json else
               " + ".join(f"{c}*[{k}]" for k, c in shown.items()) or "0")
     else:

@@ -4,9 +4,9 @@ Two lattice flavors share one interface (``pair``, ``eq``, ``zero``):
 
 * an ambient lattice presented by a Chow ring -- classes are Chern
   characters and the pairing is the exact Euler pairing;
-* a formal lattice on named generators -- the pairing is supplied by an
-  oracle (typically backed by cohomology rules) and optional integral
-  relations identify classes.
+* a formal lattice on hashable generators (a variety's own keys) -- the
+  pairing is supplied by an oracle (typically backed by cohomology rules)
+  and optional integral relations identify classes.
 
 Mutations are the universal K-class formulas
 
@@ -29,7 +29,7 @@ rebuilt and re-checked against the relations on every membership call.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .chow import IntVector, euler_pairing
 from .gl_weights import KERNEL_CACHE
@@ -210,13 +210,14 @@ class AmbientLattice:
 
 
 class FormalClass(IntVector):
-    """Integer combination of named generators of a formal lattice: an
-    `IntVector` keyed by generator name, over denominator 1 (a lattice
-    scales its classes by integer pairings only)."""
+    """Integer combination of generators of a formal lattice: an
+    `IntVector` keyed by generator, over denominator 1 (a lattice scales
+    its classes by integer pairings only)."""
 
     __slots__ = ()
 
-    def __init__(self, lattice: "FormalLattice", coeffs: dict[str, int]):
+    def __init__(self, lattice: "FormalLattice",
+                 coeffs: dict[Hashable, int]):
         self.home = lattice
         self.nums = {g: int(c) for g, c in coeffs.items() if c}
         self.den = 1
@@ -224,8 +225,8 @@ class FormalClass(IntVector):
             lattice.ensure(g)
 
     @property
-    def coeffs(self) -> dict[str, int]:
-        """Generator name -> nonzero integer coefficient."""
+    def coeffs(self) -> dict[Hashable, int]:
+        """Generator -> nonzero integer coefficient."""
         return self.nums
 
     def __repr__(self) -> str:
@@ -243,7 +244,7 @@ class FormalClass(IntVector):
 
 
 class FormalLattice:
-    """Free module on named generators with an oracle-backed pairing.
+    """Free module on hashable generators with an oracle-backed pairing.
 
     ``pair_oracle(a, b)`` must return the Euler pairing of two generators
     (or None when genuinely unknown, which raises at use).  Optional
@@ -255,33 +256,33 @@ class FormalLattice:
     kind = "formal"
 
     def __init__(self, name: str,
-                 pair_oracle: Callable[[str, str], int | None],
-                 relations: Iterable[dict[str, int]] = ()):
+                 pair_oracle: Callable[[Hashable, Hashable], int | None],
+                 relations: Iterable[dict[Hashable, int]] = ()):
         self.name = name
-        self.generators: list[str] = []
-        self._index: dict[str, int] = {}
+        self.generators: list[Hashable] = []
+        self._index: dict[Hashable, int] = {}
         self._oracle = pair_oracle
-        self.relations: list[dict[str, int]] = [dict(r) for r in relations]
-        self._pair_cache: dict[tuple[str, str], int] = {}
+        self.relations: list[dict] = [dict(r) for r in relations]
+        self._pair_cache: dict[tuple[Hashable, Hashable], int] = {}
         for r in self.relations:
             for g in r:
                 self.ensure(g)
 
-    def ensure(self, gen: str) -> None:
+    def ensure(self, gen: Hashable) -> None:
         if gen not in self._index:
             self._index[gen] = len(self.generators)
             self.generators.append(gen)
 
-    def cls(self, gen: str) -> FormalClass:
+    def cls(self, gen: Hashable) -> FormalClass:
         return FormalClass(self, {gen: 1})
 
-    def combo(self, coeffs: dict[str, int]) -> FormalClass:
+    def combo(self, coeffs: dict[Hashable, int]) -> FormalClass:
         return FormalClass(self, coeffs)
 
     def zero(self) -> FormalClass:
         return FormalClass(self, {})
 
-    def gen_pair(self, a: str, b: str) -> int:
+    def gen_pair(self, a: Hashable, b: Hashable) -> int:
         key = (a, b)
         if key not in self._pair_cache:
             val = self._oracle(a, b)
@@ -311,18 +312,15 @@ class FormalLattice:
 
     def membership(self, target: FormalClass):
         """Certificate for target lying in the span of the relations."""
-        gens = list(self.generators)
-        idx = {g: i for i, g in enumerate(gens)}
-        rows = []
-        for r in self.relations:
-            vec = [0] * len(gens)
-            for g, c in r.items():
-                vec[idx[g]] = c
-            rows.append(vec)
-        tvec = [0] * len(gens)
-        for g, c in target.nums.items():
-            tvec[idx[g]] = c
-        return relation_membership(rows, tvec)
+        def vec(coeffs):
+            out = [0] * len(self.generators)
+            for g, c in coeffs.items():
+                out[self._index[g]] = c
+            return out
+
+        return relation_membership(
+            [vec(r) for r in self.relations], vec(target.nums)
+        )
 
     def __repr__(self) -> str:
         return f"FormalLattice({self.name}, {len(self.generators)} generators)"

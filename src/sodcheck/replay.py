@@ -98,6 +98,16 @@ class UnidentifiedResult(MalformedScenario):
         )
 
 
+def twist_class(variety, cls, line_key):
+    """A K-class twisted by a line bundle: a formal class twists each
+    generator key, an ambient class multiplies by the line's class."""
+    if isinstance(cls, FormalClass):
+        return variety.lattice.combo({
+            variety.twist(g, line_key): c for g, c in cls.coeffs.items()
+        })
+    return cls * variety._class(line_key)
+
+
 def _known(label: str) -> str:
     """``label``, unless it is the synthetic name of a mutation result."""
     if label.startswith(_MUTANT):
@@ -481,14 +491,8 @@ class _Runner:
         v = self.variety
         _known(e.label)  # a mutation result has no key to twist
         key = v.twist(e.key, line_key)
-        if isinstance(e.cls, FormalClass):  # generators are label text
-            cls = self.lattice.combo({
-                v.format(v.twist(v.parse(g), line_key)): c
-                for g, c in e.cls.coeffs.items()
-            })
-        else:
-            cls = e.cls * v._class(line_key)
-        return Concrete(v.format(key), key, e.parity, cls, e.index)
+        return Concrete(v.format(key), key, e.parity,
+                        twist_class(v, e.cls, line_key), e.index)
 
     # pass_left|pass_right movers=SEL to=front|end|after:SEL|before:SEL
     def step_pass(self, step: Step) -> None:

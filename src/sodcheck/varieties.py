@@ -657,22 +657,17 @@ class NetFourfold(Variety):
 
     # ---- classes
 
-    def _resolve(self, key) -> dict[str, int]:
-        """Expand a parsed label into lattice-generator coefficients."""
-        if key[0] == "plane":
-            return {self.format(key): 1}
-        if key[0] == "bundle":
-            if key[1] not in ("O", "V/U"):
-                raise InputError(
-                    f"no lattice generator for bundle kind {key[1]!r}"
-                )
-            return {self.format(key): 1}
-        if key[1] % 2:
-            return {self.format(self._odd_cliff_bundle(key)): 1}
-        sub, quo = (self.format(half) for half in self._cliff_halves(key))
-        out = {sub: 1}
-        out[quo] = out.get(quo, 0) + 1
-        return out
+    def _resolve(self, key) -> dict:
+        """Expand a key into lattice-generator keys and coefficients."""
+        key = self._odd_cliff_bundle(key)
+        if key[0] == "cliff":
+            sub, quo = self._cliff_halves(key)
+            return {sub: 1, quo: 1}
+        if key[0] == "bundle" and key[1] not in ("O", "V/U"):
+            raise InputError(
+                f"no lattice generator for bundle kind {key[1]!r}"
+            )
+        return {key: 1}
 
     def _class(self, key):
         return self.lattice.combo(self._resolve(key))
@@ -695,8 +690,7 @@ class NetFourfold(Variety):
             weight=self._om_weight,
         )
 
-    def _pair_oracle(self, ga: str, gb: str):
-        pa, pb = self.parse(ga), self.parse(gb)
+    def _pair_oracle(self, pa, pb):
         if pa[0] == "bundle" and pb[0] == "bundle":
             return self._ambient_chi(pa, pb)
         if pa[0] == "plane" and pb[0] == "plane":
@@ -706,7 +700,7 @@ class NetFourfold(Variety):
                 return 1
             raise InputError(
                 f"{self.name} cannot pair two twists of one plane: "
-                f"{ga!r}, {gb!r}"
+                f"{self.format(pa)!r}, {self.format(pb)!r}"
             )
         if pa[0] == "bundle" and pb[0] == "plane":
             return _plane_euler(pa[1], pb[2] - pa[2])
@@ -1048,8 +1042,11 @@ class CoverBlowup(Variety):
     def __init__(self, nodes: int):
         self.nodes = nodes
         self.base = BlownProjectiveSpace(nodes)
+        flat = (0,) * nodes
         relations = [
-            {"O": 1, f"O(-e{i + 1})": -1, f"O_Q{i + 1}": -1}
+            {("line", 0, flat): 1,
+             ("line", 0, flat[:i] + (-1,) + flat[i + 1:]): -1,
+             ("quad", i + 1, 0, 0): -1}
             for i in range(nodes)
         ]
         self.lattice = FormalLattice(
@@ -1091,13 +1088,12 @@ class CoverBlowup(Variety):
     # ---- classes
 
     def _class(self, key):
-        return self.lattice.combo({self.format(key): 1})
+        return self.lattice.cls(key)
 
     # ---- pairing oracle
 
-    def _pair_oracle(self, ga: str, gb: str):
-        ans = self.ext(ga, gb)
-        return ans.chi
+    def _pair_oracle(self, pa, pb):
+        return self._ext(pa, pb).chi
 
     # ---- graded Ext
 

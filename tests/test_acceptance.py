@@ -19,7 +19,7 @@ from sodcheck.chow import (
     ring_gr24_p3,
     ring_p3,
 )
-from sodcheck.cli import main as cli_main
+from sodcheck.cli import _move, _random_class, main as cli_main
 from sodcheck.kmut import (
     AmbientLattice,
     gram,
@@ -167,24 +167,6 @@ GRASS6 = [
 ]
 
 
-def _random_class(rng, lat):
-    basis = EXC_P3 if lat is LAT_P3 else EXC_GR
-    out = lat.zero()
-    for i in rng.sample(range(len(basis)), rng.randint(1, 3)):
-        out = out + basis[i].scale(rng.randint(-3, 3))
-    return out
-
-
-def _move(lat, col, i, direction):
-    col = list(col)
-    a, b = col[i], col[i + 1]
-    if direction == "left":
-        col[i], col[i + 1] = mutate_left(lat, a, b), a
-    else:
-        col[i], col[i + 1] = b, mutate_right(lat, b, a)
-    return col
-
-
 def test_criterion_4_mutation_properties():
     t0 = time.perf_counter()
     ok = True
@@ -196,10 +178,10 @@ def test_criterion_4_mutation_properties():
         lat = rng.choice([LAT_P3, LAT_GR])
         pool = EXC_P3 if lat is LAT_P3 else EXC_GR
         e = rng.choice(pool)
-        f = mutate_right(lat, e, _random_class(rng, lat))
+        f = mutate_right(lat, e, _random_class(rng, pool, lat))
         if mutate_right(lat, e, mutate_left(lat, e, f)) != f:
             ok = False
-        g = mutate_left(lat, e, _random_class(rng, lat))
+        g = mutate_left(lat, e, _random_class(rng, pool, lat))
         if mutate_left(lat, e, mutate_right(lat, e, g)) != g:
             ok = False
 
@@ -246,7 +228,7 @@ def test_criterion_4_mutation_properties():
         pool = EXC_P3 if lat is LAT_P3 else EXC_GR
         lb = (p3_line if lat is LAT_P3 else gr_line)(rng.randint(-2, 2))
         e = rng.choice(pool)
-        f = _random_class(rng, lat)
+        f = _random_class(rng, pool, lat)
         if mutate_left(lat, e, f) * lb != mutate_left(lat, e * lb, f * lb):
             ok = False
         if mutate_right(lat, e, f) * lb != mutate_right(lat, e * lb,

@@ -172,6 +172,44 @@ def test_mutate_and_gram(capsys):
     assert "unitriangular" in out
 
 
+@pytest.mark.parametrize("argv, text, as_json", [
+    (("net_fourfold", "left", "O", "Cliff_2(-g)"),
+     "1*[O] + 1*[O(-g+h)]", {"O": 1, "O(-g+h)": 1}),
+    (("net_fourfold", "right", "O_Pl1", "O(h)"),
+     "1*[O(h)] + -1*[O_Pl1]", {"O(h)": 1, "O_Pl1": -1}),
+    (("double_cover_blowup", "left", "O", "O_Q1(1,0)"),
+     "-2*[O] + 1*[O_Q1(1,0)]", {"O": -2, "O_Q1(1,0)": 1}),
+    (("double_cover_blowup", "right", "O(-e1)", "O(h-e3)"),
+     "1*[O(-e1)] + 1*[O(h-e3)]", {"O(-e1)": 1, "O(h-e3)": 1}),
+])
+def test_mutate_writes_formal_classes_as_sorted_labels(capsys, argv, text,
+                                                       as_json):
+    # the only place a formal lattice's generators reach the user
+    assert run(capsys, "mutate", *argv) == (0, text + "\n")
+    code, out = run(capsys, "--json", "mutate", *argv)
+    assert code == 0
+    assert out == json.dumps(as_json, sort_keys=True) + "\n"
+
+
+def test_two_twists_of_one_plane_hyper_and_pair_disagree(capsys):
+    # pinned as it stands: hyper reports the pair unchecked, while pair
+    # refuses it as an input error
+    code = main(["hyper", "net_fourfold", "O_Pl1", "O_Pl1(-1)"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (
+        "indeterminate (UNCHECKED: same plane, different twists: "
+        "no certified route)\n"
+    )
+    code = main(["pair", "net_fourfold", "O_Pl1", "O_Pl1(-1)"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: net_fourfold cannot pair two twists of one plane: "
+        "'O_Pl1', 'O_Pl1(-1)'\n"
+    )
+
+
 def test_catalog_lists_everything(capsys):
     code, out = run(capsys, "catalog")
     assert code == 0

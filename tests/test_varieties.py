@@ -12,6 +12,8 @@ import pytest
 
 from sodcheck import varieties
 from sodcheck.bbw import GR24, irr, line
+from sodcheck.kmut import gram
+from sodcheck.replay import twist_class
 from sodcheck.varieties import (
     AXIOMS,
     VARIETY_NAMES,
@@ -160,9 +162,12 @@ def test_fourfold_staircase_exts(src, dst, graded):
 
 
 def test_fourfold_clifford_halves():
-    assert dict(M.kclass("Cliff_0(-g)").coeffs) == {"O(-g)": 1, "O(-h)": 1}
-    assert dict(M.kclass("Cliff_1").coeffs) == {"V/U": 1}
-    assert dict(M.kclass("Cliff_2(-g)").coeffs) == {"O(-g+h)": 1, "O": 1}
+    def written(label):
+        return {M.format(k): c for k, c in M.kclass(label).coeffs.items()}
+
+    assert written("Cliff_0(-g)") == {"O(-g)": 1, "O(-h)": 1}
+    assert written("Cliff_1") == {"V/U": 1}
+    assert written("Cliff_2(-g)") == {"O(-g+h)": 1, "O": 1}
     assert M.resolve_axioms("Cliff_2(-g)") == ("clifford_modules",)
     assert M.resolve_axioms("O(-h)") == ()
 
@@ -249,7 +254,7 @@ def test_formal_serre_twists_are_mutually_inverse(name):
 
     def twist(cls, by):
         return v.lattice.combo({
-            v.twist_label(g, by): c for g, c in cls.coeffs.items()
+            v.twist(g, v._line(by)): c for g, c in cls.coeffs.items()
         })
 
     pool = ["O", "O(-h)", "O(h)"] + (
@@ -304,11 +309,10 @@ def test_fourfold_pair_oracle_plane_branches_match_the_staircase():
             bundle = ("bundle", kind, g, h)
             plane = ("plane", 5, c)
             shifted = ("plane", 5, c - 1)
-            a, p = M.format(bundle), M.format(plane)
-            assert M._pair_oracle(a, p) == staircase_euler(
+            assert M._pair_oracle(bundle, plane) == staircase_euler(
                 M._plane_restriction(bundle, plane)
             )
-            assert M._pair_oracle(p, a) == staircase_euler(
+            assert M._pair_oracle(plane, bundle) == staircase_euler(
                 M._plane_restriction(bundle, shifted)
             )
 
@@ -399,10 +403,53 @@ def test_peeling_matches_lattice_chi():
 def test_cover_blowup_relations_identify_quadric_classes():
     lat = X.lattice
     for i in range(1, 11):
-        diff = lat.cls(f"O_Q{i}") - lat.cls("O")
-        assert lat.eq(diff, lat.cls(f"O(-e{i})").scale(-1))
+        diff = X.kclass(f"O_Q{i}") - X.kclass("O")
+        assert lat.eq(diff, X.kclass(f"O(-e{i})").scale(-1))
     # without the exceptional line the difference is NOT in the span
-    assert not lat.eq(lat.cls("O_Q2") - lat.cls("O"), lat.zero())
+    assert not lat.eq(X.kclass("O_Q2") - X.kclass("O"), lat.zero())
+
+
+def test_formal_lattices_pair_compare_and_twist_without_label_text(
+        monkeypatch):
+    # fresh varieties, so no pairing is cached yet: classes are named by
+    # text first, and from then on no label may be parsed or written
+    fourfold, cover = varieties.NetFourfold(), varieties.CoverBlowup(10)
+    cases = []
+    for v, labels in (
+        (fourfold, ["O", "O(-h)", "V/U", "Cliff_1", "Cliff_2(-g)",
+                    "O_Pl1(-1)", "O_Pl3"]),
+        (cover, ["O", "O(-e1)", "O(H)", "O(h-e3)", "O_Q1", "O_Q2(1,0)"]),
+    ):
+        ref = get_variety(v.name)
+        expected = gram(ref.lattice, [ref.kclass(lbl) for lbl in labels])
+        classes = [v.kclass(lbl) for lbl in labels]
+        mix = classes[0].scale(2) - classes[-1] + classes[2].scale(-3)
+        serre = [v._line(lbl) for lbl in v.serre]
+        cases.append((v, classes + [mix], serre, expected))
+    related = [
+        (cover.kclass(f"O_Q{i}") - cover.kclass("O"),
+         cover.kclass(f"O(-e{i})").scale(-1))
+        for i in range(1, 11)
+    ]
+    unrelated = cover.kclass("O_Q2") - cover.kclass("O")
+
+    def forbidden(*args):
+        raise AssertionError("label text on a lattice path")
+
+    for v in (fourfold, cover, cover.base):
+        for name in ("parse", "format", "ext"):
+            monkeypatch.setattr(v, name, forbidden)
+
+    for v, classes, (omega, inverse), expected in cases:
+        assert gram(v.lattice, classes[:-1]) == expected
+        for cls in classes:
+            there = twist_class(v, cls, omega)
+            assert there != cls
+            assert twist_class(v, there, inverse) == cls
+            assert twist_class(v, twist_class(v, cls, inverse), omega) == cls
+    for diff, line_class in related:
+        assert cover.lattice.eq(diff, line_class)
+    assert not cover.lattice.eq(unrelated, cover.lattice.zero())
 
 
 def test_cover_blowup_ext_anchors():
