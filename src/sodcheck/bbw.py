@@ -34,22 +34,28 @@ Everything is exact integer arithmetic.
 
 Weights are validated once, where they enter: ``irr`` and ``line`` go
 through ``_pair``, which converts with ``int()`` and rejects a wrong rank or
-a non-dominant weight.  Every weight the engine derives from those (duals,
-twists, tensor summands, Bott results) is built by the trusted
-``Weight._of``.  The two per-factor kernels are pure functions of immutable
-arguments and are memoised in bounded ``lru_cache``s: ``bott_factor`` on
-(factor, sub, quot) and ``_tensor_weights`` on (rank, a, b), which returns a
-tuple so that a cached value cannot be mutated.  Bundles, complexes and
-answers are not memoised here.  Terms, bundles and complexes are immutable
-(``TermComplex.slots`` is a read-only mapping), so a complex can be shared:
-the constant complexes of the catalog (the incidence Koszul complex, the
-surface structure and ideal complexes, the plane Koszul complex) are built
-once, in ``varieties``.
+a non-dominant weight, and ``Term(...)`` checks its multiplicity.  Every
+weight and term the engine derives from those (duals, twists, shifts,
+tensor summands, pushforwards, Bott results) is built by the trusted
+``Weight._of`` and ``Term._of``.
+
+Three kernels are pure functions of immutable weight data and are
+memoised in bounded ``lru_cache``s, each returning tuples so that a cached
+value cannot be mutated: ``bott_factor`` on (factor, sub, quot),
+``_tensor_weights`` on (rank, a, b) and ``_dual_pairs`` on a term's weight
+pairs.  The weight assembly of a product of two terms is not memoised: it
+is a few tuple concatenations over ``_tensor_weights`` hits.  Bundles,
+complexes and answers are not memoised here.  Terms, bundles and complexes
+are immutable (``TermComplex.slots`` is a read-only mapping), so a complex
+can be shared: the constant complexes of the catalog (the incidence Koszul
+complex, the surface structure and ideal complexes, the plane Koszul
+complex) are built once, in ``varieties``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -126,6 +132,17 @@ class Term:
         if self.mult <= 0:
             raise ValueError("multiplicity must be positive")
 
+    @classmethod
+    def _of(cls, pairs: tuple, mult: int, shift: int) -> "Term":
+        """Trusted constructor for the terms the engine derives itself:
+        ``pairs`` is a tuple of checked weight pairs, ``mult`` a positive
+        int and ``shift`` an int."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "pairs", pairs)
+        object.__setattr__(t, "mult", mult)
+        object.__setattr__(t, "shift", shift)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Term is immutable")
 
@@ -166,14 +183,8 @@ class EquivariantBundle:
     def dual(self) -> "EquivariantBundle":
         return EquivariantBundle(
             self.space,
-            (
-                Term(
-                    tuple((dualize(s), dualize(q)) for s, q in t.pairs),
-                    t.mult,
-                    -t.shift,
-                )
-                for t in self.terms
-            ),
+            (Term._of(_dual_pairs(t.pairs), t.mult, -t.shift)
+             for t in self.terms),
         )
 
     def twist(self, twists: Sequence[int]) -> "EquivariantBundle":
@@ -185,7 +196,7 @@ class EquivariantBundle:
             pairs = tuple(
                 (s.twist(tw), q) for (s, q), tw in zip(t.pairs, twists)
             )
-            out.append(Term(pairs, t.mult, t.shift))
+            out.append(Term._of(pairs, t.mult, t.shift))
         return EquivariantBundle(self.space, out)
 
     def tensor(self, other: "EquivariantBundle") -> "EquivariantBundle":
@@ -200,7 +211,7 @@ class EquivariantBundle:
     def shifted(self, s: int) -> "EquivariantBundle":
         return EquivariantBundle(
             self.space,
-            (Term(t.pairs, t.mult, t.shift + s) for t in self.terms),
+            (Term._of(t.pairs, t.mult, t.shift + s) for t in self.terms),
         )
 
     def __add__(self, other: "EquivariantBundle") -> "EquivariantBundle":
@@ -253,6 +264,12 @@ def _tensor_weights(rank: int, a: Weight, b: Weight):
     )
 
 
+@lru_cache(maxsize=KERNEL_CACHE)
+def _dual_pairs(pairs):
+    """The weight pairs of a term's dual, as a tuple."""
+    return tuple((dualize(s), dualize(q)) for s, q in pairs)
+
+
 def _tensor_terms(space, a: Term, b: Term) -> list[Term]:
     partial: list[tuple[tuple[tuple[Weight, Weight], ...], int]] = [((), 1)]
     for f, (sa, qa), (sb, qb) in zip(space, a.pairs, b.pairs):
@@ -264,10 +281,8 @@ def _tensor_terms(space, a: Term, b: Term) -> list[Term]:
                 for qw, qm in quots:
                     nxt.append((pairs + ((sw, qw),), m * sm * qm))
         partial = nxt
-    return [
-        Term(pairs, a.mult * b.mult * m, a.shift + b.shift)
-        for pairs, m in partial
-    ]
+    mult, shift = a.mult * b.mult, a.shift + b.shift
+    return [Term._of(pairs, mult * m, shift) for pairs, m in partial]
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
@@ -332,7 +347,7 @@ class GradedSpace:
     def weights(self, degree: int) -> list[tuple[tuple[Weight, ...], int]]:
         return sorted(
             self.layers.get(degree, {}).items(),
-            key=lambda kv: tuple(w.entries for w in kv[0]),
+            key=itemgetter(0),
         )
 
     @property
@@ -529,7 +544,7 @@ def pushforward_complex(cx: TermComplex, along: int):
             )
             mult = term.mult * weyl_dim(factor.n, lam)
             cells.setdefault((p, q), []).append(
-                Term(rest_pairs, mult, term.shift)
+                Term._of(rest_pairs, mult, term.shift)
             )
 
     dim_cells = {

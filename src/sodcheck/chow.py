@@ -328,7 +328,7 @@ def ch_bundle(ring: ChowRing, bundle: EquivariantBundle) -> ChowClass:
     for term in bundle.terms:
         val = ring.one()
         for fi, (sw, qw) in enumerate(term.pairs):
-            key = (fi, sw.entries, qw.entries)
+            key = (fi, sw, qw)
             got = ring._ch_cache.get(key)
             if got is None:
                 ch_sub, ch_quot = ring._taut[fi]

@@ -10,17 +10,23 @@ tuples.  All arithmetic is exact.
 Validation sits at the boundary.  ``Weight(...)`` and the public functions
 convert their input with ``int()``, and ``weyl_dim``, ``tensor_rank2`` and
 ``weight_multiset`` reject a wrong rank or a non-dominant weight with
-``ValueError``.  Weights the engine builds itself from int tuples
-(sums, twists, duals, tensor summands, Bott results) go through the trusted
-constructor ``Weight._of``, which skips the conversion but still sets the
-``dominant`` flag.  The Weyl dimension of a dominant entry tuple is a pure
-integer function, memoised in a bounded ``lru_cache`` (``_weyl_dim``).
+``ValueError``.  Weights the engine builds itself from ints (sums,
+twists, duals, tensor summands, Bott results) go through the trusted
+constructor ``Weight._of``, which skips the conversion; ``dominant`` is
+read off the entries whenever it is asked for.
+
+A ``Weight`` is a ``tuple`` subclass, so the memos keyed by weights (here
+and in ``bbw`` and ``chow``) hash and compare them in C.  The memoised
+kernels of this module: the Weyl dimension of a dominant entry tuple
+(``_weyl_dim``), a pure integer function in a bounded ``lru_cache``.
+Bundles, complexes and Ext answers are not memoised in this module or in
+``bbw``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, ge
+from operator import add, ge, itemgetter
 from typing import Iterable, Iterator
 
 #: entries per kernel memo (here and in ``bbw``): the catalog's Ext queries
@@ -29,67 +35,53 @@ from typing import Iterable, Iterator
 KERNEL_CACHE = 4096
 
 
-class Weight:
+class Weight(tuple):
     """An integer weight of GL(r), r = len(entries).
 
-    Immutable and hashable.  ``dominant`` is checked at construction so that
-    consumers can rely on the flag instead of re-scanning.
+    A ``tuple`` of ints, so hashing, equality, ordering, ``len`` and
+    indexing run in C, and ``Weight((1, 0)) == (1, 0)`` is true.  ``+`` is
+    entrywise addition, never concatenation; ``entries`` is the same
+    integers as a plain tuple, which concatenates.  Immutable: there are no
+    settable attributes.
     """
 
-    __slots__ = ("entries", "dominant")
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[int]):
-        ent = tuple(int(e) for e in entries)
-        if not ent:
+    def __new__(cls, entries: Iterable[int]):
+        w = tuple.__new__(cls, [int(e) for e in entries])
+        if not w:
             raise ValueError("weight needs at least one entry")
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "dominant", all(map(ge, ent, ent[1:])))
-
-    @classmethod
-    def _of(cls, ent: tuple[int, ...]) -> "Weight":
-        """Trusted constructor: ``ent`` is a non-empty tuple of ints."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "entries", ent)
-        object.__setattr__(w, "dominant", all(map(ge, ent, ent[1:])))
         return w
 
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Weight is immutable")
+    @classmethod
+    def _of(cls, ent: Iterable[int]) -> "Weight":
+        """Trusted constructor: ``ent`` is a non-empty sequence of ints."""
+        return tuple.__new__(cls, ent)
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(self)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Weight) and self.entries == other.entries
-
-    def __lt__(self, other: "Weight") -> bool:
-        return self.entries < other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    @property
+    def dominant(self) -> bool:
+        return all(map(ge, self, self[1:]))
 
     def __repr__(self) -> str:
-        return f"Weight{self.entries}"
+        return f"Weight{tuple.__repr__(self)}"
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(other) != len(self):
             raise ValueError("rank mismatch")
-        return Weight._of(tuple(map(add, self.entries, other.entries)))
+        return Weight._of(map(add, self, other))
 
     def twist(self, t: int) -> "Weight":
         """Add the determinant character t times (entrywise shift)."""
-        return Weight._of(tuple(a + t for a in self.entries))
+        return Weight._of([a + t for a in self])
 
 
 def _as_entries(w) -> tuple[int, ...]:
     if isinstance(w, Weight):
-        return w.entries
+        return w
     return tuple(int(e) for e in w)
 
 
@@ -126,7 +118,7 @@ def dualize(w) -> Weight:
     """Highest weight of the dual representation: reverse and negate."""
     if not isinstance(w, Weight):
         w = Weight(w)
-    return Weight._of(tuple(-e for e in reversed(w.entries)))
+    return Weight._of([-e for e in reversed(w)])
 
 
 class WeightSum:
@@ -151,7 +143,7 @@ class WeightSum:
             self._terms.pop(w, None)
 
     def items(self) -> list[tuple[Weight, int]]:
-        return sorted(self._terms.items(), key=lambda t: t[0].entries)
+        return sorted(self._terms.items(), key=itemgetter(0))
 
     def __len__(self) -> int:
         return len(self._terms)

@@ -46,6 +46,7 @@ from __future__ import annotations
 import re
 from functools import cache, lru_cache
 from math import comb
+from types import MappingProxyType
 
 from . import InputError
 from .bbw import (
@@ -313,7 +314,10 @@ _PRODUCT = (GR24, P3)
 _DOUBLE_GR = (GR24, GR24)
 
 
+@lru_cache(maxsize=KERNEL_CACHE)
 def _gr_bundle(kind: str, twist: int = 0) -> EquivariantBundle:
+    """A bundle kind on the Grassmannian, twisted; built once per
+    argument (bundles are immutable, so shared)."""
     b = irr((GR24,), [kind_pairs(GR24, kind)])
     return b.twist((twist,)) if twist else b
 
@@ -430,12 +434,22 @@ def ideal_twisted_cohomology(bundle: EquivariantBundle):
     return hypercohomology(surface_ideal_complex().tensor(bundle))
 
 
-def _p2_cohomology(t: int) -> dict[int, int]:
-    return cohomology(line((P2,), (t,))).dims()
+@lru_cache(maxsize=KERNEL_CACHE)
+def _p3_cohomology(t: int) -> MappingProxyType:
+    """Graded cohomology of O(t) on projective 3-space, read-only."""
+    return MappingProxyType(cohomology(line((P3,), (t,))).dims())
 
 
-def _quadric_cohomology(a: int, b: int) -> dict[int, int]:
-    return cohomology(line((P1, P1), (a, b))).dims()
+@lru_cache(maxsize=KERNEL_CACHE)
+def _p2_cohomology(t: int) -> MappingProxyType:
+    """Graded cohomology of O(t) on the projective plane, read-only."""
+    return MappingProxyType(cohomology(line((P2,), (t,))).dims())
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _quadric_cohomology(a: int, b: int) -> MappingProxyType:
+    """Graded cohomology of O(a, b) on P1 x P1, read-only."""
+    return MappingProxyType(cohomology(line((P1, P1), (a, b))).dims())
 
 
 # --------------------------------------------------------------------------
@@ -966,7 +980,7 @@ class BlownProjectiveSpace(Variety):
 
     # ---- graded Ext
 
-    def line_graded(self, dh: int, de) -> dict[int, int] | None:
+    def line_graded(self, dh: int, de) -> MappingProxyType | None:
         """Graded cohomology of O(dh + sum de_i e_i), when forced.
 
         Peeling one exceptional layer gives the sequence
@@ -976,7 +990,7 @@ class BlownProjectiveSpace(Variety):
         equals the blowdown's.  Outside that window return None.
         """
         if all(0 <= a <= 2 for a in de):
-            return cohomology(line((P3,), (dh,))).dims()
+            return _p3_cohomology(dh)
         return None
 
     def _ext(self, pa, pb) -> ExtAnswer:
@@ -984,9 +998,8 @@ class BlownProjectiveSpace(Variety):
             dh = pb[1] - pa[1]
             de = tuple(x - y for x, y in zip(pb[2], pa[2]))
             if not any(de):
-                res = cohomology(line((P3,), (dh,)))
                 return _from_graded(
-                    res.dims(), RULE, "blowdown projection formula"
+                    _p3_cohomology(dh), RULE, "blowdown projection formula"
                 )
             graded = self.line_graded(dh, de)
             if graded is not None:
@@ -1506,16 +1519,14 @@ def line_euler_by_peeling(dh: int, de) -> int:
     return _p3_euler(dh)
 
 
-@lru_cache(maxsize=KERNEL_CACHE)
 def _p2_euler(t: int) -> int:
     """chi(O(t)) on the projective plane, by the weight staircase."""
     return _euler_sum(_p2_cohomology(t))
 
 
-@lru_cache(maxsize=KERNEL_CACHE)
 def _p3_euler(t: int) -> int:
     """chi(O(t)) on projective 3-space, by the weight staircase."""
-    return cohomology(line((P3,), (t,))).euler()
+    return _euler_sum(_p3_cohomology(t))
 
 
 def _negate_line(key):

@@ -16,6 +16,7 @@ from sodcheck.bbw import (
     EquivariantBundle,
     Term,
     TermComplex,
+    _dual_pairs,
     _tensor_weights,
     bott_factor,
     cohomology,
@@ -367,3 +368,54 @@ def test_irr_still_rejects_non_dominant_and_wrong_rank():
         irr((GR24,), [((0, 0, 0), (0,))])
     with pytest.raises(ValueError):
         line((GR24,), (1, 2))
+
+
+def _random_weight(rng, rank):
+    return Weight(sorted((rng.randrange(-4, 5) for _ in range(rank)),
+                         reverse=True))
+
+
+def _random_term(rng, space):
+    pairs = tuple((_random_weight(rng, f.k), _random_weight(rng, f.n - f.k))
+                  for f in space)
+    return Term(pairs, rng.randrange(1, 4), rng.randrange(-2, 3))
+
+
+SPACES = [(P3,), (GR23,), (GR24,), (GR24, P3)]
+
+
+def assert_frozen(value):
+    """A cached value is built from tuples all the way down."""
+    assert isinstance(value, tuple)
+    for item in value:
+        if not isinstance(item, int):
+            assert_frozen(item)
+
+
+def test_memoised_dual_pairs_match_a_fresh_run():
+    rng = random.Random(2301)
+    for _ in range(200):
+        space = rng.choice(SPACES)
+        t = _random_term(rng, space)
+        fresh = _dual_pairs.__wrapped__(t.pairs)
+        first = _dual_pairs(t.pairs)
+        hits = _dual_pairs.cache_info().hits
+        assert _dual_pairs(t.pairs) is first
+        assert _dual_pairs.cache_info().hits == hits + 1
+        assert first == fresh
+        assert_frozen(first)
+        assert all(isinstance(w, Weight) and w.dominant
+                   for pair in first for w in pair)
+        # the dual of the dual is the term itself
+        assert _dual_pairs(first) == t.pairs
+
+
+def test_trusted_terms_skip_the_checks_but_stay_immutable():
+    t = Term._of(((Weight((1,)), Weight((0, 0, 0))),), 2, -1)
+    assert (t.pairs, t.mult, t.shift) == (
+        ((Weight((1,)), Weight((0, 0, 0))),), 2, -1)
+    with pytest.raises(AttributeError):
+        t.mult = 3
+    with pytest.raises(ValueError):
+        Term(t.pairs, 0)
+    assert Term(t.pairs, "2", "-1").mult == 2

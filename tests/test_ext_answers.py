@@ -9,7 +9,9 @@ answers, the Clifford splice and the blowups' CHI-ONLY Riemann-Roch
 branch.  Each pair is asked once and compared with the recording; each
 determinate Euler number is compared with the independent ``Variety.chi``.
 The whole set is then asked again in reverse order, against warm kernel
-memos and bundle caches, and must give identical answers.
+memos and bundle caches, and must give identical answers; a warm pass
+builds every answer from the weight kernels' memos, with no miss and no
+checked term.
 """
 
 import json
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from sodcheck import bbw, gl_weights, varieties
 from sodcheck.varieties import get_variety
 
 RECORDED = json.loads(
@@ -73,3 +76,32 @@ def test_determinate_euler_numbers_match_riemann_roch(first_pass):
 def test_warm_second_pass_in_reverse_is_identical(first_pass):
     again = ask(reversed(list(RECORDED)))
     assert again == first_pass
+
+
+#: every memoised kernel under the Ext oracle
+EXT_KERNELS = (
+    gl_weights._weyl_dim, bbw.bott_factor, bbw._tensor_weights,
+    bbw._dual_pairs, varieties._p3_cohomology, varieties._p2_cohomology,
+    varieties._quadric_cohomology, varieties._gr_bundle,
+)
+
+
+def test_warm_pass_misses_no_kernel_and_checks_no_term(monkeypatch):
+    ask(RECORDED)
+    before = {k.__name__: k.cache_info() for k in EXT_KERNELS}
+    checked = []
+    real_init = bbw.Term.__init__
+
+    def counted_init(self, *args, **kwargs):
+        checked.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bbw.Term, "__init__", counted_init)
+    ask(RECORDED)
+    after = {k.__name__: k.cache_info() for k in EXT_KERNELS}
+    misses = {name: after[name].misses - before[name].misses
+              for name in after}
+    hits = {name: after[name].hits - before[name].hits for name in after}
+    assert misses == {name: 0 for name in after}
+    assert all(hits.values()), hits
+    assert checked == []

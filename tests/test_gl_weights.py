@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from sodcheck.bbw import GR24, P3, bott_factor
 from sodcheck.gl_weights import (
     Weight,
     WeightSum,
@@ -218,3 +219,71 @@ def test_engine_built_weights_carry_the_dominant_flag():
     assert w.twist(-3) == Weight((-1, -3)) and w.twist(-3).dominant
     assert dualize(w).dominant and not dualize(Weight((0, 2))).dominant
     assert all(s.dominant for s, _ in tensor_rank2((3, 0), (2, 1)))
+
+
+# ------------------------------------------------------ tuple-backed Weight
+
+def test_weight_addition_is_entrywise_never_concatenation():
+    rng = random.Random(2304)
+    for _ in range(100):
+        n = rng.choice([1, 2, 3, 4])
+        a = [rng.randrange(-5, 6) for _ in range(n)]
+        b = [rng.randrange(-5, 6) for _ in range(n)]
+        total = Weight(a) + Weight(b)
+        assert type(total) is Weight and len(total) == n
+        assert total == Weight([x + y for x, y in zip(a, b)])
+    with pytest.raises(ValueError):
+        Weight((1, 0)) + Weight((1, 0, 0))
+    with pytest.raises(ValueError):
+        Weight((1, 0)) + (1, 0, 0)
+
+
+def test_weight_entries_are_a_plain_tuple_that_concatenates():
+    w = Weight((2, 0))
+    assert type(w.entries) is tuple and w.entries == (2, 0)
+    assert w.entries + Weight((1,)).entries == (2, 0, 1)
+    # a weight is its tuple of entries
+    assert w == (2, 0) and Weight((1, 0)) == (1, 0)
+    assert hash(w) == hash((2, 0)) and w != (2, 0, 0)
+
+
+def test_weight_has_no_settable_attributes():
+    w = Weight((3, 1))
+    for name, value in (("entries", (0, 0)), ("dominant", False),
+                        ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    assert w == (3, 1) and w.dominant
+
+
+def test_weight_checks_its_input():
+    assert Weight(["2", 1.0]) == (2, 1)
+    assert all(type(e) is int for e in Weight(["2", 1.0]))
+    with pytest.raises(ValueError):
+        Weight(())
+    with pytest.raises(ValueError):
+        Weight(("x",))
+
+
+def test_weight_dominance_hash_and_order_follow_the_entries():
+    rng = random.Random(2305)
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 4])
+        ent = tuple(rng.randrange(-5, 6) for _ in range(n))
+        other = tuple(rng.randrange(-5, 6) for _ in range(n))
+        w = Weight(ent)
+        assert w.dominant == (list(ent) == sorted(ent, reverse=True))
+        assert hash(w) == hash(ent) == hash(Weight._of(ent))
+        assert (w < Weight(other)) == (ent < other)
+        assert sorted([Weight(other), w]) == sorted([other, ent])
+        assert repr(w) == f"Weight{ent}"
+
+
+def test_bott_factor_still_concatenates_sub_and_quot():
+    # O(-1) on P3: sub (-1,) ++ quot (0, 0, 0) + rho (3, 2, 1, 0) has the
+    # repeat 2, 2; an entrywise sum would not even have the right length
+    assert bott_factor(P3, Weight((-1,)), Weight((0, 0, 0))) is None
+    assert bott_factor(P3, Weight((-4,)), Weight((0, 0, 0))) == (
+        3, Weight((-1, -1, -1, -1)))
+    assert bott_factor(GR24, Weight((1, 0)), Weight((0, 0))) == (
+        0, Weight((1, 0, 0, 0)))

@@ -398,6 +398,60 @@ def test_peeling_matches_lattice_chi():
         )
 
 
+# ------------------------------------------------ line-cohomology kernels
+
+def projective_line(n, t):
+    """Closed form: H^*(P^n, O(t)) by the binomial dimension counts."""
+    if t >= 0:
+        return {0: comb(t + n, n)}
+    if t <= -n - 1:
+        return {n: comb(-t - 1, n)}
+    return {}
+
+
+def quadric_line(a, b):
+    """Closed form on P1 x P1: the Kuenneth product of two P1 answers."""
+    out = {}
+    for i, di in projective_line(1, a).items():
+        for j, dj in projective_line(1, b).items():
+            out[i + j] = out.get(i + j, 0) + di * dj
+    return out
+
+
+@pytest.mark.parametrize("kernel, closed_form", [
+    (varieties._p3_cohomology, lambda t: projective_line(3, t)),
+    (varieties._p2_cohomology, lambda t: projective_line(2, t)),
+    (varieties._quadric_cohomology, quadric_line),
+], ids=["P3", "P2", "P1xP1"])
+def test_line_cohomology_kernels_are_read_only_memos(kernel, closed_form):
+    rng = random.Random(2303)
+    arity = 2 if kernel is varieties._quadric_cohomology else 1
+    for _ in range(40):
+        args = tuple(rng.randint(-7, 7) for _ in range(arity))
+        fresh = kernel.__wrapped__(*args)
+        first = kernel(*args)
+        hits = kernel.cache_info().hits
+        assert kernel(*args) is first
+        assert kernel.cache_info().hits == hits + 1
+        assert dict(first) == dict(fresh) == closed_form(*args)
+        # every route shares the cached map, so no caller may change it
+        with pytest.raises(TypeError):
+            first[9] = 1
+        with pytest.raises(TypeError):
+            del first[next(iter(first), 0)]
+        assert dict(kernel(*args)) == closed_form(*args)
+
+
+def test_grassmannian_bundles_are_shared_and_immutable():
+    b = varieties._gr_bundle("S2U", -1)
+    assert varieties._gr_bundle("S2U", -1) is b
+    assert repr(b) == repr(varieties._gr_bundle.__wrapped__("S2U", -1))
+    with pytest.raises(AttributeError):
+        b.terms = ()
+    with pytest.raises(AttributeError):
+        b.terms[0].mult = 2
+
+
 # --------------------------------------------------------- cover blowup
 
 def test_cover_blowup_relations_identify_quadric_classes():
