@@ -5,6 +5,8 @@ A scenario file (``*.sod``) declares a variety, an initial decomposition
 mutation steps, and the expected final decomposition.  The runner replays
 the steps with full class-level bookkeeping in the variety's numerical
 Grothendieck lattice and demands exact evidence for every reordering.
+Every Ext group a step relies on, ``exceptional=`` and family
+orthogonality included, is asked by variety key and certified one way.
 Every imported statement used by evidence or label resolution must be in
 the scenario's declared allowance; the runner records the set actually
 used.  Transcripts are deterministic byte-for-byte.
@@ -66,6 +68,7 @@ from .varieties import (
     VARIETY_NAMES,
     ExtAnswer,
     check_split_certificate,
+    format_graded,
     get_variety,
 )
 
@@ -109,10 +112,17 @@ def twist_class(variety, cls, line_key):
 
 
 def _known(label: str) -> str:
-    """``label``, unless it is the synthetic name of a mutation result."""
+    """Selector text, unless it names a mutation result."""
     if label.startswith(_MUTANT):
         raise UnidentifiedResult(label)
     return label
+
+
+def _key(entry):
+    """A concrete entry's key; a mutation result has none until named."""
+    if entry.key is None:
+        raise UnidentifiedResult(entry.label)
+    return entry.key
 
 
 # --------------------------------------------------------------------------
@@ -331,9 +341,11 @@ class _Runner:
 
     # ---- evidence
 
-    def evidence_ext(self, src: Concrete, dst: Concrete,
-                     want_zero: bool) -> ExtAnswer:
-        ans = self.variety.ext(_known(src.label), _known(dst.label))
+    def certified_ext(self, src: Concrete, dst: Concrete) -> ExtAnswer:
+        """Ext(src, dst) asked by key, the one way the replay checks Ext:
+        determinate, tagged BBW, RULE or AXIOM, its imports charged, its
+        Euler number the lattice pairing, and C[0] when src is dst."""
+        ans = self.variety.ext(_key(src), _key(dst))
         ext = f"Ext({src.label}, {dst.label})"
         if not ans.determinate:
             raise ReplayError(
@@ -348,23 +360,27 @@ class _Runner:
             raise ReplayError(
                 f"{ext}: staircase chi {ans.chi} != lattice chi {lattice_chi}"
             )
+        if src is dst and ans.graded != {0: 1}:  # an exceptional object
+            raise ReplayError(
+                f"{src.label} is not exceptional: {ans.describe()}"
+            )
+        return ans
+
+    def evidence_ext(self, src: Concrete, dst: Concrete,
+                     want_zero: bool) -> ExtAnswer:
+        ans = self.certified_ext(src, dst)
+        ext = f"Ext({src.label}, {dst.label})"
         if want_zero and not ans.is_zero:
             raise ReplayError(f"{ext} = {ans.describe()}; expected zero")
-        self.emit(
-            f"    {ext} = "
-            f"{'0' if ans.is_zero else ans.describe().split(' chi=')[0]}"
-            f" [{ans.tag}] chi {ans.chi} == lattice {lattice_chi}"
-        )
+        self.emit(f"    {ext} = {format_graded(ans.graded)} [{ans.tag}] "
+                  f"chi {ans.chi} == lattice {ans.chi}")
         return ans
 
     def check_family_orthogonal(self, members: list[Concrete],
                                 context: str) -> None:
         for a in members:
             for b in members:
-                if a is b:
-                    continue
-                ans = self.variety.ext(_known(a.label), _known(b.label))
-                if not (ans.determinate and ans.is_zero):
+                if a is not b and not self.certified_ext(a, b).is_zero:
                     raise ReplayError(
                         f"{context}: family members {a.label}, {b.label} "
                         "are not orthogonal"
@@ -489,8 +505,7 @@ class _Runner:
 
     def _twist_concrete(self, e: Concrete, line_key) -> Concrete:
         v = self.variety
-        _known(e.label)  # a mutation result has no key to twist
-        key = v.twist(e.key, line_key)
+        key = v.twist(_key(e), line_key)
         return Concrete(v.format(key), key, e.parity,
                         twist_class(v, e.cls, line_key), e.index)
 
@@ -634,11 +649,7 @@ class _Runner:
             f"{'y' if len(results) == 1 else 'ies'} verified in the lattice"
         )
         for mem in results:
-            ans = self.evidence_ext(mem, mem, False)
-            if ans.graded != {0: 1}:
-                raise ReplayError(
-                    f"{mem.label} is not exceptional: {ans.describe()}"
-                )
+            self.evidence_ext(mem, mem, False)
 
     # insert_block target=block:NAME [axioms=..] [exceptional=..] [require=..]
     def step_insert_block(self, step: Step) -> None:
@@ -670,11 +681,7 @@ class _Runner:
             for i, a in enumerate(entries):
                 for b in entries[:i]:
                     self.evidence_ext(a, b, True)
-                ans = self.variety.ext(a.label, a.label)
-                if not (ans.determinate and ans.graded == {0: 1}):
-                    raise ReplayError(
-                        f"{a.label} is not exceptional: {ans.describe()}"
-                    )
+                ans = self.certified_ext(a, a)
                 self.emit(f"    Ext({a.label}, {a.label}) = C[0] [{ans.tag}]")
         self.state = self.state[:idx] + new_entries + self.state[idx + 1:]
 

@@ -24,11 +24,12 @@ tuple; ``O(-2h+e)`` on the blowup is ``("line", -2, (1, .., 1))``), and its
 ``format`` is the only place label text is written.  Twists, the Serre
 twist and K-classes act on keys, so ``canon``, ``ext``, ``kclass``,
 ``twist_label`` and ``serre_label`` are written once on :class:`Variety`
-and take and return text only at the boundary.  Each object has one
-written form: symmetric powers are ``S<p>U``/``S<p>Uv`` with p >= 2 and no
-leading zeros (``S1U`` is ``U`` and ``S0U`` is ``O``), and on the N-point
-blowups the exceptional symbols are exactly ``e1 .. eN`` besides ``h``,
-``e`` and ``H`` (``e01`` is an unknown symbol).
+and take and return text only at the boundary; ``ext``, the one entry
+point for Ext answers, takes a key in place of a label as well.  Each
+object has one written form: symmetric powers are ``S<p>U``/``S<p>Uv``
+with p >= 2 and no leading zeros (``S1U`` is ``U`` and ``S0U`` is ``O``),
+and on the N-point blowups the exceptional symbols are exactly
+``e1 .. eN`` besides ``h``, ``e`` and ``H`` (``e01`` is an unknown symbol).
 
 The catalog covers the ambient homogeneous spaces (projective 3-space,
 the two Grassmannians of planes, and the mixed product), the
@@ -140,11 +141,6 @@ class ExtAnswer:
     def is_zero(self) -> bool:
         return self.graded == {}
 
-    def dim(self, degree: int) -> int:
-        if self.graded is None:
-            raise LookupError("grading not certified")
-        return self.graded.get(degree, 0)
-
     def describe(self) -> str:
         body = format_graded(self.graded)
         ax = f"; imports {','.join(self.axioms)}" if self.axioms else ""
@@ -154,13 +150,12 @@ class ExtAnswer:
         return f"ExtAnswer({self.describe()})"
 
 
-def _from_graded(graded, tag, route, axioms=(), table=None) -> ExtAnswer:
-    chi = sum((-1) ** t * d for t, d in graded.items())
-    return ExtAnswer(graded, chi, tag, route, axioms, table)
-
-
 def _euler_sum(graded: dict[int, int]) -> int:
     return sum((-1) ** t * d for t, d in graded.items())
+
+
+def _from_graded(graded, tag, route, axioms=()) -> ExtAnswer:
+    return ExtAnswer(graded, _euler_sum(graded), tag, route, axioms)
 
 
 def _merge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -463,7 +458,7 @@ class Variety:
     ``is_line``, ``twist`` (key twisted by a line-bundle key), ``_class``
     and ``_ext`` on keys, and ``serre``, the line-bundle labels of the
     canonical bundle and its inverse.  Everything that takes label text
-    is written here once on top of those.
+    is written here once on top of those; ``ext`` takes keys too.
     """
 
     name: str
@@ -494,8 +489,11 @@ class Variety:
     def kclass(self, label: str):
         return self._class(self.parse(label))
 
-    def ext(self, a: str, b: str) -> ExtAnswer:
-        return self._ext(self.parse(a), self.parse(b))
+    def ext(self, a, b) -> ExtAnswer:
+        """The one entry point for Ext answers; each side is a label,
+        parsed here, or a key."""
+        return self._ext(self.parse(a) if isinstance(a, str) else a,
+                         self.parse(b) if isinstance(b, str) else b)
 
     def chi(self, a: str, b: str) -> int:
         return self.lattice.pair(self.kclass(a), self.kclass(b))
@@ -1391,7 +1389,7 @@ def double_cover_check(base_name: str, polarization: str, collection,
     is homogeneous); (iii) the cover-side pairing defined by doubling is
     unitriangular on the collection and satisfies cover Serre duality;
     (iv) an independent Euler route re-derives the cover pairing.  The
-    labels are parsed once; all twisting and pairing happens on keys.
+    labels are parsed once; twists, pairings and Ext queries act on keys.
     Each cover pairing is computed once and kept for the items that ask
     for it again; every item still checks every pair.
     """
@@ -1418,17 +1416,10 @@ def double_cover_check(base_name: str, polarization: str, collection,
     detail = "chi-level"
     if isinstance(base, HomogeneousVariety):
         detail = "graded"
-        labels = [base.format(k) for k in doubled]
-        for j in range(len(labels)):
-            for i in range(len(labels)):
-                ans = base.ext(labels[i], labels[j])
-                if i == j:
-                    good = ans.graded == {0: 1}
-                elif i > j:
-                    good = ans.is_zero
-                else:
-                    continue
-                if not good:
+        for j in range(len(doubled)):
+            for i in range(j, len(doubled)):  # Ext from the later one
+                ans = base.ext(doubled[i], doubled[j])
+                if ans.graded != ({0: 1} if i == j else {}):
                     graded_ok = False
     gram_ok = is_unitriangular(
         gram(base.lattice, [base._class(k) for k in doubled])
@@ -1480,10 +1471,10 @@ def double_cover_check(base_name: str, polarization: str, collection,
             return line_euler_by_peeling(dh, de)
     else:
         route = "weight staircase"
+        trivial = ("O", (0,) * len(base.space))
 
         def indep_chi(x, y) -> int:
-            diff = base.twist(y, _negate_line(x))
-            return base.ext("O", base.format(diff)).chi
+            return base.ext(trivial, base.twist(y, _negate_line(x))).chi
 
     ident_ok = True
     for x in keys:

@@ -458,6 +458,30 @@ def test_verify_all_computes_each_constant_fact_once(capsys, monkeypatch):
     }
 
 
+#: label parses and Ext queries in one verify-all: each label is parsed once
+#: where it enters, and the replay and the double-cover check ask by key
+VERIFY_ALL_TRAFFIC = {"parse": 233, "ext": 513}
+
+
+def test_verify_all_parses_each_label_once(capsys, monkeypatch):
+    counts = Counter()
+
+    def counting(name, body):
+        def counted(*args):
+            counts[name] += 1
+            return body(*args)
+        return counted
+
+    for cls in varieties.Variety.__subclasses__():
+        monkeypatch.setattr(cls, "parse", counting("parse", cls.parse))
+    # Variety.ext is the one entry point; no variety overrides it
+    monkeypatch.setattr(varieties.Variety, "ext",
+                        counting("ext", varieties.Variety.ext))
+    code, out = run(capsys, "verify-all")
+    assert (code, out) == (0, VERIFY_ALL)
+    assert counts == VERIFY_ALL_TRAFFIC
+
+
 @pytest.mark.parametrize("make", ["missing", "empty"])
 def test_verify_all_needs_a_catalog_with_scenarios(tmp_path, capsys, make):
     root = tmp_path / "catalog"

@@ -369,6 +369,37 @@ expect:
     assert "not allowed" in res.text() or "allowance" in res.text()
 
 
+PLANE_IMAGE = """
+scenario plane-image
+variety net_fourfold
+{allow}
+initial:
+  block B "B"
+step s1 insert_block target=block:B exceptional=O_Pl1(-1)
+"""
+
+
+@pytest.mark.parametrize("allow", ["", "allow_axioms enriques_image_plane"])
+def test_exceptional_self_ext_imports_are_charged(tmp_path, capsys, allow):
+    # Ext(O_Pl1(-1), O_Pl1(-1)) = C[0] holds only by the plane-image
+    # statement, so the exceptional= check must charge that import
+    path = tmp_path / "plane.sod"
+    path.write_text(PLANE_IMAGE.format(allow=allow))
+    code = main(["replay", str(path)])
+    out = capsys.readouterr().out
+    if allow:
+        assert code == 0
+        assert "Ext(O_Pl1(-1), O_Pl1(-1)) = C[0] [AXIOM]\n" in out
+        assert "imports used: enriques_image_plane\n" in out
+        assert out.endswith("scenario plane-image: PASS\n")
+    else:
+        assert code == 1
+        assert out.endswith(
+            "scenario plane-image: FAIL — Ext(O_Pl1(-1), O_Pl1(-1)): "
+            "import enriques_image_plane is not allowed in this scenario\n"
+        )
+
+
 def test_mutation_requires_adjacency():
     res = run_text("""
 scenario far-mutation

@@ -6,6 +6,7 @@ and hand-reduced Smith forms for the class-lattice memberships.
 """
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -440,6 +441,29 @@ def test_line_cohomology_kernels_are_read_only_memos(kernel, closed_form):
         with pytest.raises(TypeError):
             del first[next(iter(first), 0)]
         assert dict(kernel(*args)) == closed_form(*args)
+
+
+def test_plane_restriction_routes_match_the_closed_form():
+    # the Serre and twist relations of tests/test_ext_consistency.py run
+    # both of their sides through these two routes, so a shift of either
+    # route's degrees shows only against the plane's own cohomology
+    rest = (0,) * (Y.nodes - 1)
+    for beta in range(-3, 4):
+        for c in range(-5, 4):
+            # Ext(O(beta e1), O_E1(c)) = H^*(P2, O(c + beta))
+            ans = Y.ext(("line", 0, (beta,) + rest), ("eplane", 1, c))
+            assert ans.graded == projective_line(2, c + beta), (beta, c)
+    tally, shapes = Counter(), set()
+    for a in range(-3, 4):
+        for c in range(-5, 4):
+            # Ext(O(ag), O_Pl2(c)) = H^*(P2, O(c - a)), where determinate
+            ans = M.ext(("bundle", "O", a, 0), ("plane", 2, c))
+            tally[ans.determinate] += 1
+            if ans.determinate:
+                assert ans.graded == projective_line(2, c - a), (a, c)
+                shapes.add(tuple(ans.graded))
+    assert tally == {True: 27, False: 36}
+    assert shapes == {(), (0,), (2,)}  # the top degree is reached
 
 
 def test_grassmannian_bundles_are_shared_and_immutable():
