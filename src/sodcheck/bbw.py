@@ -45,11 +45,12 @@ value cannot be mutated: ``bott_factor`` on (factor, sub, quot),
 ``_tensor_weights`` on (rank, a, b) and ``_dual_pairs`` on a term's weight
 pairs.  The weight assembly of a product of two terms is not memoised: it
 is a few tuple concatenations over ``_tensor_weights`` hits.  Bundles,
-complexes and answers are not memoised here.  Terms, bundles and complexes
-are immutable (``TermComplex.slots`` is a read-only mapping), so a complex
+complexes and answers are not memoised here.  Terms, bundles, complexes
+and answers are immutable (read-only mappings and tuples), so any of them
 can be shared: the constant complexes of the catalog (the incidence Koszul
 complex, the surface structure and ideal complexes, the plane Koszul
-complex) are built once, in ``varieties``.
+complex) and the fourfold's plane staircases are built once, in
+``varieties``.
 """
 
 from __future__ import annotations
@@ -312,37 +313,31 @@ class GradedSpace:
 
     Keys are tuples of per-factor ambient weights, so the answer remembers
     not just dimensions but which representation showed up (e.g. the dual of
-    the defining representation).
+    the defining representation).  Immutable like a ``TermComplex``: its
+    layers and dimensions are read-only mappings, computed once.
     """
 
-    __slots__ = ("space", "layers")
+    __slots__ = ("space", "layers", "_dims")
     determinate = True
 
-    def __init__(self, space, layers=None):
-        self.space = tuple(space)
-        self.layers: dict[int, dict[tuple[Weight, ...], int]] = {}
-        if layers:
-            for deg, cell in layers.items():
-                for key, m in cell.items():
-                    self.add(deg, key, m)
-
-    def add(self, degree: int, key: tuple[Weight, ...], mult: int) -> None:
-        cell = self.layers.setdefault(degree, {})
-        cell[key] = cell.get(key, 0) + mult
-
-    def dimension(self, degree: int) -> int:
-        cell = self.layers.get(degree, {})
-        return sum(
-            m * _key_dim(self.space, key) for key, m in cell.items()
-        )
-
-    def dims(self) -> dict[int, int]:
-        out = {}
-        for deg in self.layers:
-            d = self.dimension(deg)
+    def __init__(self, space, layers):
+        space = tuple(space)
+        cells, dims = {}, {}
+        for deg in sorted(layers):
+            cell = cells[deg] = MappingProxyType(dict(layers[deg]))
+            d = sum(m * _key_dim(space, k) for k, m in cell.items())
             if d:
-                out[deg] = d
-        return dict(sorted(out.items()))
+                dims[deg] = d
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "layers", MappingProxyType(cells))
+        object.__setattr__(self, "_dims", MappingProxyType(dims))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedSpace is immutable")
+
+    def dims(self) -> MappingProxyType:
+        """Degree -> dimension, zeros dropped, by degree; read-only."""
+        return self._dims
 
     def weights(self, degree: int) -> list[tuple[tuple[Weight, ...], int]]:
         return sorted(
@@ -352,19 +347,13 @@ class GradedSpace:
 
     @property
     def is_zero(self) -> bool:
-        return not self.dims()
+        return not self._dims
 
     def euler(self) -> int:
-        return sum((-1) ** deg * d for deg, d in self.dims().items())
-
-    def describe(self) -> str:
-        dims = self.dims()
-        if not dims:
-            return "0"
-        return " + ".join(f"C^{d}[{deg}]" for deg, d in dims.items())
+        return sum((-1) ** deg * d for deg, d in self._dims.items())
 
     def __repr__(self) -> str:
-        return f"GradedSpace({self.describe()})"
+        return f"GradedSpace({dict(self._dims)!r})"
 
 
 def _key_dim(space, key: tuple[Weight, ...]) -> int:
@@ -380,19 +369,27 @@ class Indeterminate:
     ``entries`` lists the occupied cells (position, degree, dimension);
     ``collisions`` the pairs joined by a possible differential.  This is a
     first-class result: callers decide what to do, nothing is guessed.
+    Immutable (both are tuples), so a table can be shared.
     """
 
     __slots__ = ("space", "entries", "collisions")
     determinate = False
 
     def __init__(self, space, entries, collisions):
-        self.space = tuple(space)
-        self.entries = entries
-        self.collisions = collisions
+        object.__setattr__(self, "space", tuple(space))
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "collisions", tuple(collisions))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Indeterminate is immutable")
 
     @property
     def is_zero(self) -> bool:
         return False
+
+    def euler(self) -> int:
+        """Alternating sum by q - p: exact, as no differential changes it."""
+        return sum((-1) ** (q - p) * d for p, q, d in self.entries)
 
     def describe(self) -> str:
         cells = ", ".join(f"(p={p}, q={q}, dim={d})" for p, q, d in self.entries)
@@ -442,14 +439,15 @@ class TermComplex:
 
 def cohomology(bundle: EquivariantBundle) -> GradedSpace:
     """Sheaf cohomology of a single equivariant bundle (always determinate)."""
-    out = GradedSpace(bundle.space)
+    layers: dict[int, dict[tuple[Weight, ...], int]] = {}
     for term in bundle.terms:
         res = _term_cohomology(bundle.space, term)
         if res is None:
             continue
         degree, key = res
-        out.add(degree - term.shift, key, term.mult)
-    return out
+        cell = layers.setdefault(degree - term.shift, {})
+        cell[key] = cell.get(key, 0) + term.mult
+    return GradedSpace(bundle.space, layers)
 
 
 def _term_cohomology(space, term: Term):
@@ -506,11 +504,12 @@ def hypercohomology(cx: TermComplex):
     clashes = _collisions(cells, min_r=1)
     if clashes:
         return Indeterminate(cx.space, _cell_entries(cx.space, cells), clashes)
-    out = GradedSpace(cx.space)
+    layers: dict[int, dict[tuple[Weight, ...], int]] = {}
     for (p, q), cell in cells.items():
+        layer = layers.setdefault(q - p, {})
         for key, m in cell.items():
-            out.add(q - p, key, m)
-    return out
+            layer[key] = layer.get(key, 0) + m
+    return GradedSpace(cx.space, layers)
 
 
 def pushforward_complex(cx: TermComplex, along: int):

@@ -78,7 +78,7 @@ def _print_graded(ans, as_json: bool, strict: bool) -> int:
         if ans.axioms:
             payload["imports"] = sorted(ans.axioms)
         if not ans.determinate and ans.table is not None:
-            payload["table"] = [list(row) for row in ans.table]
+            payload["table"] = [list(row) for row in ans.table.entries]
         print(json.dumps(payload, sort_keys=True))
     else:
         if ans.determinate:

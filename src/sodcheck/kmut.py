@@ -22,8 +22,9 @@ Smith normal form over the integers, and every positive answer carries a
 certificate (the integer combination) that is re-verified by multiplication.
 Each matrix is factorised once: ``_smith_factor`` keeps (diag, U, V) as
 tuples in a bounded ``lru_cache`` keyed by the matrix, and
-``smith_normal_form`` hands out fresh lists.  The certificate is still
-rebuilt and re-checked against the relations on every membership call.
+``smith_normal_form`` hands out fresh lists; a formal lattice builds its
+relation matrix once.  The certificate is still rebuilt and re-checked
+against the relations on every membership call.
 """
 
 from __future__ import annotations
@@ -267,6 +268,11 @@ class FormalLattice:
         for r in self.relations:
             for g in r:
                 self.ensure(g)
+        # the relations name the first generators: one fixed row each
+        self._rows = tuple(
+            tuple(r.get(g, 0) for g in self.generators)
+            for r in self.relations
+        )
 
     def ensure(self, gen: Hashable) -> None:
         if gen not in self._index:
@@ -305,22 +311,20 @@ class FormalLattice:
         diff = a - b
         if diff.is_zero():
             return True
-        if not self.relations:
-            return False
         ok, _ = self.membership(diff)
         return ok
 
     def membership(self, target: FormalClass):
-        """Certificate for target lying in the span of the relations."""
-        def vec(coeffs):
-            out = [0] * len(self.generators)
-            for g, c in coeffs.items():
-                out[self._index[g]] = c
-            return out
-
-        return relation_membership(
-            [vec(r) for r in self.relations], vec(target.nums)
-        )
+        """Certificate for target lying in the span of the relations; a
+        target on a generator no relation names is rejected unfactorised."""
+        width = len(self._rows[0]) if self._rows else 0
+        vec = [0] * width
+        for g, c in target.nums.items():
+            i = self._index[g]
+            if i >= width:
+                return (False, None)
+            vec[i] = c
+        return relation_membership(self._rows, vec)
 
     def __repr__(self) -> str:
         return f"FormalLattice({self.name}, {len(self.generators)} generators)"

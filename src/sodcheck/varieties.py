@@ -57,6 +57,7 @@ from .bbw import (
     P3,
     EquivariantBundle,
     HomFactor,
+    Indeterminate,
     TermComplex,
     cohomology,
     hypercohomology,
@@ -174,15 +175,23 @@ def _flip(graded: dict[int, int], n: int) -> dict[int, int]:
     return {n - t: d for t, d in graded.items()}
 
 
-def staircase_euler(result) -> int:
-    """Euler characteristic of a staircase table, collision-proof.
+def _from_staircase(res, tag, route, euler_route) -> ExtAnswer:
+    """A staircase result as an answer: graded under ``tag`` if determinate,
+    else its Euler number under CHI-ONLY with the table attached."""
+    if res.determinate:
+        return _from_graded(res.dims(), tag, route)
+    return ExtAnswer(None, res.euler(), CHI_ONLY, euler_route, table=res)
 
-    Differentials never change the alternating sum, so this is exact even
-    when the graded answer itself is indeterminate.
-    """
-    if result.determinate:
-        return result.euler()
-    return sum((-1) ** (q - p) * d for p, q, d in result.entries)
+
+def _serre_dual(inner: ExtAnswer, n: int) -> ExtAnswer:
+    """Serre duality on an n-fold: Ext^t(A, B) is dual to Ext^(n-t) of
+    ``inner`` = Ext(B, A x omega).  A certified grading flips under RULE;
+    otherwise the inner tag stays."""
+    route = f"Serre duality; {inner.route}"
+    chi = (-1) ** n * inner.chi
+    if not inner.determinate:
+        return ExtAnswer(None, chi, inner.tag, route, inner.axioms)
+    return ExtAnswer(_flip(inner.graded, n), chi, RULE, route, inner.axioms)
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +381,7 @@ def surface_structure_complex() -> TermComplex:
     sheaf of the degeneracy surface, obtained by collapsing the second
     factor of the incidence Koszul complex."""
     pushed = pushforward_complex(incidence_koszul(), along=1)
-    if not getattr(pushed, "determinate", True):
+    if isinstance(pushed, Indeterminate):
         raise ArithmeticError("incidence pushforward is obstructed")
     return pushed
 
@@ -432,19 +441,19 @@ def ideal_twisted_cohomology(bundle: EquivariantBundle):
 @lru_cache(maxsize=KERNEL_CACHE)
 def _p3_cohomology(t: int) -> MappingProxyType:
     """Graded cohomology of O(t) on projective 3-space, read-only."""
-    return MappingProxyType(cohomology(line((P3,), (t,))).dims())
+    return cohomology(line((P3,), (t,))).dims()
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
 def _p2_cohomology(t: int) -> MappingProxyType:
     """Graded cohomology of O(t) on the projective plane, read-only."""
-    return MappingProxyType(cohomology(line((P2,), (t,))).dims())
+    return cohomology(line((P2,), (t,))).dims()
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
 def _quadric_cohomology(a: int, b: int) -> MappingProxyType:
     """Graded cohomology of O(a, b) on P1 x P1, read-only."""
-    return MappingProxyType(cohomology(line((P1, P1), (a, b))).dims())
+    return cohomology(line((P1, P1), (a, b))).dims()
 
 
 # --------------------------------------------------------------------------
@@ -715,11 +724,11 @@ class NetFourfold(Variety):
                 f"{self.format(pa)!r}, {self.format(pb)!r}"
             )
         if pa[0] == "bundle" and pb[0] == "plane":
-            return _plane_euler(pa[1], pb[2] - pa[2])
+            return _plane_staircase(pa[1], pb[2] - pa[2]).euler()
         if pa[0] == "plane" and pb[0] == "bundle":
             # Serre duality on the fourfold against the plane twisted by -1;
             # even dimension keeps the sign
-            return _plane_euler(pb[1], pa[2] - 1 - pb[2])
+            return _plane_staircase(pb[1], pa[2] - 1 - pb[2]).euler()
         return None
 
     def _bundle(self, parsed) -> EquivariantBundle:
@@ -781,50 +790,23 @@ class NetFourfold(Variety):
 
     def _ext_bundles(self, pa, pb) -> ExtAnswer:
         T = self._bundle(pa).dual().tensor(self._bundle(pb))
-        res = hypercohomology(self._om.tensor(T))
-        if res.determinate:
-            return _from_graded(
-                res.dims(), BBW, "structure-sheaf Koszul + weight staircase"
-            )
-        return ExtAnswer(
-            None, staircase_euler(res), CHI_ONLY,
-            "staircase Euler characteristic", table=res,
+        return _from_staircase(
+            hypercohomology(self._om.tensor(T)), BBW,
+            "structure-sheaf Koszul + weight staircase",
+            "staircase Euler characteristic",
         )
 
-    def _plane_restriction(self, pbundle, pplane):
-        """Staircase for Ext(bundle, plane sheaf): restrict and twist.
-
-        The projective-space direction is trivial on the plane, so only the
-        Grassmannian part of the bundle survives restriction.  Its Euler
-        number depends on the kind and c - g only (``_plane_euler``).
-        """
-        _, kind, ga, _ = pbundle
-        _, _, c = pplane
-        T = _gr_bundle(kind).dual().twist((c - ga,))
-        return plane_cohomology(T)
-
     def _ext_to_plane(self, pa, pb) -> ExtAnswer:
-        res = self._plane_restriction(pa, pb)
-        if res.determinate:
-            return _from_graded(
-                res.dims(), RULE, "plane restriction + Koszul staircase"
-            )
-        return ExtAnswer(
-            None, staircase_euler(res), CHI_ONLY,
-            "plane restriction, Euler characteristic only", table=res,
+        return _from_staircase(
+            _plane_staircase(pa[1], pb[2] - pa[2]), RULE,
+            "plane restriction + Koszul staircase",
+            "plane restriction, Euler characteristic only",
         )
 
     def _ext_from_plane(self, pa, pb) -> ExtAnswer:
         """Serre duality: Ext^t(plane, T) = Ext^(4-t)(T, plane(-1))^dual."""
-        inner = self._ext(pb, ("plane", pa[1], pa[2] - 1))
-        if inner.determinate:
-            return ExtAnswer(
-                _flip(inner.graded, self.dim), inner.chi, RULE,
-                f"Serre duality; {inner.route}", inner.axioms,
-            )
-        return ExtAnswer(
-            None, inner.chi, inner.tag,
-            f"Serre duality; {inner.route}", inner.axioms,
+        return _serre_dual(
+            self._ext(pb, ("plane", pa[1], pa[2] - 1)), self.dim
         )
 
     def _ext_planes(self, pa, pb) -> ExtAnswer:
@@ -885,13 +867,16 @@ class NetFourfold(Variety):
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
-def _plane_euler(kind: str, s: int) -> int:
-    """chi(bundle of ``kind``, plane sheaf twisted ``s`` past the bundle's
-    Grassmannian twist) on the fourfold, by the plane restriction
-    staircase."""
-    return staircase_euler(
-        plane_cohomology(_gr_bundle(kind).dual().twist((s,)))
-    )
+def _plane_staircase(kind: str, s: int):
+    """Staircase of Ext(bundle of ``kind``, plane sheaf twisted ``s`` past
+    the bundle's Grassmannian twist) on the fourfold: restrict and twist.
+
+    The projective-space direction is trivial on the plane, so only the
+    Grassmannian part of the bundle survives restriction, and the answer
+    depends on the kind and c - g only.  The result is immutable, so the
+    Ext route to a plane and the lattice's pair oracle share it.
+    """
+    return plane_cohomology(_gr_bundle(kind).dual().twist((s,)))
 
 
 # --------------------------------------------------------------------------
@@ -1017,10 +1002,8 @@ class BlownProjectiveSpace(Variety):
             )
         if pa[0] == "eplane" and pb[0] == "line":
             # Ext^t(O_E(a), O(D)) = Ext^(3-t)(O(D), O_E(a-2))^dual
-            inner = self._ext(pb, ("eplane", pa[1], pa[2] - 2))
-            return ExtAnswer(
-                _flip(inner.graded, self.dim), -inner.chi, RULE,
-                f"Serre duality; {inner.route}",
+            return _serre_dual(
+                self._ext(pb, ("eplane", pa[1], pa[2] - 2)), self.dim
             )
         # both exceptional planes
         if pa[1] != pb[1]:
@@ -1348,8 +1331,8 @@ def check_split_certificate() -> SplitReport:
 
     def record(desc, res, expect):
         ok = res.determinate and res.dims() == expect
-        side_conditions.append((desc, ok, repr(res.dims() if res.determinate
-                                               else res)))
+        side_conditions.append((desc, ok, repr(dict(res.dims())
+                                               if res.determinate else res)))
 
     record("plane structure cohomology is one-dimensional",
            plane_cohomology(_gr_bundle("O")), {0: 1})
@@ -1577,9 +1560,7 @@ def projection_shadow_report() -> ShadowReport:
             amb, ch_bundle(amb, twisted), weight=fourfold._om_weight
         )
         # fourfold side, staircase
-        lhs_bbw = staircase_euler(
-            hypercohomology(fourfold._om.tensor(twisted))
-        )
+        lhs_bbw = hypercohomology(fourfold._om.tensor(twisted)).euler()
 
         # ideal side: [ideal(3g)] = 4[O] - [S2U]
         chT = ch_bundle(gr_ring, T_gr)
@@ -1587,11 +1568,9 @@ def projection_shadow_report() -> ShadowReport:
             gr_ring, ch_bundle(gr_ring, _gr_bundle("S2U").tensor(T_gr))
         )
         # ideal side, staircase on the two-term complex twisted by 3g
-        rhs_bbw = staircase_euler(
-            hypercohomology(
-                surface_ideal_complex().twist((3,)).tensor(T_gr)
-            )
-        )
+        rhs_bbw = hypercohomology(
+            surface_ideal_complex().twist((3,)).tensor(T_gr)
+        ).euler()
 
         ok = lhs == rhs == lhs_bbw == rhs_bbw
         rows.append((label, lhs, rhs, ok))

@@ -41,6 +41,38 @@ def test_bbw_json(capsys):
     assert payload["tag"] == "BBW"
 
 
+RECORDED = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "expected"
+     / "ext_answers.json").read_text()
+)
+
+
+def test_json_chi_only_answer_prints_its_table(capsys):
+    argv = ("hyper", "net_fourfold", "O", "O(-3g-3h)")
+    code, out = run(capsys, "--json", *argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["tag"], payload["chi"]) == ("CHI-ONLY", 160)
+    assert payload["table"] == [[2, 7, 40], [3, 7, 200]]
+    assert run(capsys, "--json", "--strict", *argv)[0] == 1
+
+
+def test_json_tables_of_recorded_answers_sum_to_chi(capsys):
+    tables = 0
+    for key, (_, tag, chi) in RECORDED.items():
+        if tag != "CHI-ONLY":
+            continue
+        code, out = run(capsys, "--json", "hyper", *key.split("|"))
+        payload = json.loads(out)
+        assert (code, payload["chi"]) == (0, chi), key
+        if "table" in payload:
+            rows = payload["table"]
+            assert sum((-1) ** (q - p) * d for p, q, d in rows) == chi, key
+            tables += 1
+    # the eight plane-restriction answers of the fourfold carry a table
+    assert tables == 8
+
+
 def test_unknown_space_is_an_input_error(capsys):
     code, _ = run(capsys, "bbw", "P4", "O")
     assert code == 2
@@ -418,15 +450,16 @@ def test_verify_all_from_a_catalog_directory(tmp_path, capsys):
 #: constant complex
 VERIFY_ALL_WORK = {
     (kmut, "_smith_factor"): 6,
-    (varieties, "_plane_euler"): 3,
+    (varieties, "_plane_staircase"): 3,
     (varieties, "incidence_koszul"): 1,
     (varieties, "surface_structure_complex"): 1,
     (varieties, "surface_ideal_complex"): 1,
     (varieties, "plane_koszul"): 1,
 }
-#: plane staircases in one verify-all: 20 for the Ext route to a plane, 6
-#: for the split certificate's side conditions and 3 under ``_plane_euler``
-VERIFY_ALL_PLANE_STAIRCASES = 29
+#: plane staircases in one verify-all: 6 for the split certificate's side
+#: conditions and 3 under ``_plane_staircase``, which the Ext route to a
+#: plane and the pair oracle share
+VERIFY_ALL_PLANE_STAIRCASES = 9
 
 
 def test_verify_all_computes_each_constant_fact_once(capsys, monkeypatch):

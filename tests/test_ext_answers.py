@@ -82,8 +82,12 @@ def test_warm_second_pass_in_reverse_is_identical(first_pass):
 EXT_KERNELS = (
     gl_weights._weyl_dim, bbw.bott_factor, bbw._tensor_weights,
     bbw._dual_pairs, varieties._p3_cohomology, varieties._p2_cohomology,
-    varieties._quadric_cohomology, varieties._gr_bundle,
+    varieties._quadric_cohomology, varieties._plane_staircase,
+    varieties._gr_bundle,
 )
+#: kernels reached only when another kernel misses: ``_gr_bundle`` is asked
+#: only inside ``_plane_staircase``, so a warm pass never reaches it
+INNER_KERNELS = {"_gr_bundle"}
 
 
 def test_warm_pass_misses_no_kernel_and_checks_no_term(monkeypatch):
@@ -103,5 +107,6 @@ def test_warm_pass_misses_no_kernel_and_checks_no_term(monkeypatch):
               for name in after}
     hits = {name: after[name].hits - before[name].hits for name in after}
     assert misses == {name: 0 for name in after}
-    assert all(hits.values()), hits
+    must_hit = [n for name, n in hits.items() if name not in INNER_KERNELS]
+    assert all(must_hit), hits
     assert checked == []

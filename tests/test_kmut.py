@@ -460,3 +460,28 @@ def test_formal_relations_equality():
     assert not ok
 
 
+def test_membership_builds_the_relation_matrix_once(monkeypatch):
+    rels = [{"O": 1, "O(-e)": -1, "Q": -1}]
+    lat = FormalLattice("with-relations", _orthonormal_oracle, relations=rels)
+    asked = []
+
+    def recording(rows, target):
+        asked.append((rows, list(target)))
+        return relation_membership(rows, target)
+
+    monkeypatch.setattr(kmut, "relation_membership", recording)
+    lhs = lat.cls("O") - lat.cls("O(-e)")
+    # a generator that no relation names: outside the span, rejected
+    # before any factorisation, and the matrix keeps its width
+    outside = lhs - lat.cls("Q") + lat.cls("R")
+    assert lat.membership(outside) == (False, None)
+    assert not lat.eq(lat.cls("R"), lat.zero())
+    assert not lat.eq(lhs, lat.cls("Q") - lat.cls("R"))
+    assert asked == []
+    assert lat.membership(lhs - lat.cls("Q")) == (True, [1])
+    assert lat.eq(lhs, lat.cls("Q"))
+    assert [target for _, target in asked] == [[1, -1, -1], [1, -1, -1]]
+    assert asked[0][0] == ((1, -1, -1),)
+    assert asked[0][0] is asked[1][0]
+
+

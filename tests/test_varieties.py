@@ -8,11 +8,12 @@ and hand-reduced Smith forms for the class-lattice memberships.
 import random
 from collections import Counter
 from math import comb
+from operator import delitem, setitem
 
 import pytest
 
 from sodcheck import varieties
-from sodcheck.bbw import GR24, irr, line
+from sodcheck.bbw import GR24, GradedSpace, Indeterminate, irr, line
 from sodcheck.kmut import gram
 from sodcheck.replay import twist_class
 from sodcheck.varieties import (
@@ -28,7 +29,6 @@ from sodcheck.varieties import (
     projection_shadow_report,
     plane_cohomology,
     plane_koszul,
-    staircase_euler,
     surface_cohomology,
     surface_ideal_complex,
     surface_structure_complex,
@@ -292,16 +292,38 @@ def test_symmetric_power_kinds_have_one_written_form(written, canon):
     assert gr.parse(written) == gr.parse(canon)
 
 
+def fresh_plane_staircase(kind, g, c):
+    """The staircase of Ext(bundle of ``kind`` twisted g, plane sheaf
+    twisted c), built from scratch: the bundle with its own twist, dualised
+    and tensored with the plane's line bundle."""
+    return plane_cohomology(
+        varieties._gr_bundle(kind, g).dual().tensor(
+            varieties._gr_bundle("O", c)
+        )
+    )
+
+
+def staircase_form(res):
+    """What a staircase result reports, for comparing two routes."""
+    if res.determinate:
+        return True, dict(res.dims()), res.euler()
+    return False, res.entries, res.collisions, res.euler()
+
+
 @pytest.mark.parametrize("kind", ["O", "U", "Uv", "V/U", "V/Uv", "S2U"])
 def test_plane_euler_matches_the_plane_restriction_route(kind):
-    # the memoised chi reads only (kind, c - g); the Ext route's staircase
-    # restricts the bundle with its own twists to the twisted plane
+    # the shared staircase reads only (kind, c - g); a fresh one restricts
+    # the bundle with its own twist to the twisted plane, and the Ext route
+    # to the plane answers from the shared one
     for s in range(-6, 7):
         for g, h in ((0, 0), (2, -1), (-3, 4)):
-            bundle = ("bundle", kind, g, h)
-            plane = ("plane", 3, g + s)
-            old = staircase_euler(M._plane_restriction(bundle, plane))
-            assert varieties._plane_euler(kind, s) == old, (kind, s, g)
+            shared = varieties._plane_staircase(kind, s)
+            fresh = fresh_plane_staircase(kind, g, g + s)
+            assert staircase_form(shared) == staircase_form(fresh), (
+                kind, s, g
+            )
+            ans = M.ext(("bundle", kind, g, h), ("plane", 3, g + s))
+            assert ans.chi == fresh.euler(), (kind, s, g)
 
 
 def test_fourfold_pair_oracle_plane_branches_match_the_staircase():
@@ -309,13 +331,45 @@ def test_fourfold_pair_oracle_plane_branches_match_the_staircase():
         for g, h, c in ((0, 0, 0), (1, -2, 0), (-2, 1, 3), (0, 3, -4)):
             bundle = ("bundle", kind, g, h)
             plane = ("plane", 5, c)
-            shifted = ("plane", 5, c - 1)
-            assert M._pair_oracle(bundle, plane) == staircase_euler(
-                M._plane_restriction(bundle, plane)
-            )
-            assert M._pair_oracle(plane, bundle) == staircase_euler(
-                M._plane_restriction(bundle, shifted)
-            )
+            assert M._pair_oracle(bundle, plane) == fresh_plane_staircase(
+                kind, g, c
+            ).euler()
+            assert M._pair_oracle(plane, bundle) == fresh_plane_staircase(
+                kind, g, c - 1
+            ).euler()
+
+
+def test_shared_plane_staircases_reject_mutation():
+    graded = varieties._plane_staircase("O", 0)
+    table = varieties._plane_staircase("O", 1)
+    assert isinstance(graded, GradedSpace) and dict(graded.dims()) == {0: 1}
+    assert isinstance(table, Indeterminate)
+    # the Ext route to a plane and the pair oracle read the same objects
+    assert M.ext("O", "O_Pl2").graded == {0: 1}
+    assert M.ext("O", "O_Pl2(1)").table is table
+    assert M.chi("O", "O_Pl2(1)") == table.euler() == 3
+    assert not hasattr(GradedSpace, "add")
+    assert not hasattr(GradedSpace, "describe")
+    for res in (graded, table):
+        with pytest.raises(AttributeError):
+            res.space = ()
+    key = next(iter(graded.layers[0]))
+    for poke in (
+        lambda: setitem(graded.dims(), 0, 2),
+        lambda: delitem(graded.dims(), 0),
+        lambda: setitem(graded.layers, 1, {}),
+        lambda: setitem(graded.layers[0], key, 5),
+    ):
+        with pytest.raises(TypeError):
+            poke()
+    assert type(table.entries) is tuple and type(table.collisions) is tuple
+    assert all(type(cell) is tuple for cell in table.entries)
+    # a graded space keeps its own copy of the layers it was built from
+    layers = {0: {key: 1}}
+    built = GradedSpace((GR24,), layers)
+    layers[0][key] = 7
+    layers[1] = {key: 1}
+    assert dict(built.dims()) == {0: 1}
 
 
 # ----------------------------------------------------- blown projective 3-space
@@ -554,6 +608,29 @@ def test_split_certificate_report():
                                  (3, False)]
     assert all(ok for _, ok, _ in rep.side_conditions)
     assert "PASS" in rep.describe()
+
+
+#: the split-certificate report, as written before graded answers became
+#: read-only mappings; the side-condition details print as plain dicts
+SPLIT_CERTIFICATE_TEXT = """\
+certificate PASS: coefficients [1, -1, 1, 1]
+without relation 1: fails as required
+without relation 2: fails as required
+without relation 3: fails as required
+without relation 4: fails as required
+PASS plane structure cohomology is one-dimensional: {0: 1}
+PASS plane cohomology of O(-2) vanishes: {}
+PASS plane cohomology of U(-2) vanishes: {}
+PASS no Ext from O(g) to the half-twist: {}
+PASS no Ext from Uv(g) to the half-twist: {}"""
+
+
+def test_split_certificate_text_is_pinned():
+    rep = check_split_certificate()
+    assert rep.describe() == SPLIT_CERTIFICATE_TEXT
+    assert [d for _, _, d in rep.side_conditions] == [
+        "{0: 1}", "{}", "{}", "{}", "{}"
+    ]
 
 
 def test_double_cover_check_on_p3():
