@@ -12,11 +12,14 @@ Euler characteristics go through one core: Hirzebruch-Riemann-Roch as a
 bilinear form on A(X)_Q (Fulton, Intersection Theory, Sec. 15).  For a
 weight class w (1 for plain chi) a ring builds, on first use, the linear
 form T_k = deg(b_k . w . td) and the pairing matrix
-P_ij = sum_m mul(i, j)[m] T_m, both as integers over one denominator, and
-caches them.  chi(x) is T.x and chi(a, b) is a . (P.b): the image
-(P.b)_i = (-1)^codim(i) sum_j P_ij b_j of the right argument is computed on
-its integer numerators once per class and form and kept on the class, so
-a pairing is one sparse dot product with a's numerators.  The final
+P_ij = sum_m mul(i, j)[m] T_m, both as integers over one denominator, read
+off the nonzero cells of the multiplication table, and caches them.  The
+matrix is mostly zeros (80 of 576 entries on the ten-point blowup), so it
+is kept as one tuple of nonzero entries per column.  chi(x) is T.x and
+chi(a, b) is a . (P.b): the image (P.b)_i = (-1)^codim(i) sum_j P_ij b_j
+of the right argument is summed from the columns of its nonzero
+numerators once per class and form and kept on the class, so a pairing is
+one sparse dot product with a's numerators.  The final
 rational is asserted to be an integer on every call (`IntegralityError`
 otherwise), which is a real consistency check of the tables.
 
@@ -66,13 +69,14 @@ class IntVector:
     @classmethod
     def _build(cls, home, nums: dict, den: int = 1):
         """A vector from any form over a positive ``den``: zero entries are
-        dropped and common factors cancelled."""
-        nums = {k: v for k, v in nums.items() if v}
-        if den != 1:
-            g = math.gcd(den, *nums.values())
-            if g != 1:
-                nums = {k: v // g for k, v in nums.items()}
-                den //= g
+        dropped and common factors cancelled, in one pass (zeros leave the
+        gcd unchanged)."""
+        g = math.gcd(den, *nums.values()) if den != 1 else 1
+        if g == 1:
+            nums = {k: v for k, v in nums.items() if v}
+        else:
+            nums = {k: v // g for k, v in nums.items() if v}
+            den //= g
         new = object.__new__(cls)
         new.home, new.nums, new.den = home, nums, den
         return new
@@ -85,20 +89,36 @@ class IntVector:
         if self.home is not other.home:
             raise ValueError("classes live in different rings or lattices")
 
-    def _combine(self, other: "IntVector", sign: int):
+    def _combine(self, other: "IntVector", k: int):
+        """self + k . other for an int k, built once."""
         self._same(other)
-        den = math.lcm(self.den, other.den)
-        ma, mb = den // self.den, sign * (den // other.den)
-        out = {k: ma * v for k, v in self.nums.items()}
-        for k, v in other.nums.items():
-            out[k] = out.get(k, 0) + mb * v
-        return self._like(out, den)
+        if self.den == other.den:
+            den, ma, mb = self.den, 1, k
+        else:
+            den = math.lcm(self.den, other.den)
+            ma, mb = den // self.den, k * (den // other.den)
+        out = dict(self.nums) if ma == 1 else {
+            g: ma * v for g, v in self.nums.items()
+        }
+        get = out.get
+        if mb == 1:
+            for g, v in other.nums.items():
+                out[g] = get(g, 0) + v
+        else:
+            for g, v in other.nums.items():
+                out[g] = get(g, 0) + mb * v
+        return self._build(self.home, out, den)
 
     def __add__(self, other):
         return self._combine(other, 1)
 
     def __sub__(self, other):
         return self._combine(other, -1)
+
+    def minus(self, other: "IntVector", k: int):
+        """self - k . other for an int k, one vector built (what a mutation
+        needs: F - chi . E)."""
+        return self._combine(other, -k)
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.nums.items()})
@@ -718,43 +738,43 @@ class IntegralityError(ArithmeticError):
 
 
 class PairingForm:
-    """Riemann-Roch against one weight class w as integer forms.
+    """Riemann-Roch against one weight class w as sparse integer forms.
 
-    ``linear[k]`` is D T_k with T_k = deg(b_k . w . td), and ``rows[i][j]``
-    is D (-1)^codim(i) P_ij with P_ij = sum_m mul(i, j)[m] T_m, all over the
-    one denominator ``den`` = D, in lowest terms.  ``pair(a, b)`` is
-    a . (P.b): the image P.b, one dense integer list over the basis, is
-    kept on b per form, so pairing many classes against one b builds it
-    once.
+    ``linear[k]`` is D T_k with T_k = deg(b_k . w . td), and ``cols[j]``
+    holds the nonzero entries of column j of the signed pairing matrix as
+    ``(i, D (-1)^codim(i) P_ij)`` pairs, with P_ij = sum_m mul(i, j)[m] T_m,
+    all over the one denominator ``den`` = D, in lowest terms.  Both are
+    read off the nonzero cells of the multiplication table.  ``pair(a, b)``
+    is a . (P.b): the image P.b, a dense integer list over the basis summed
+    from the columns of b's nonzero entries, is kept on b per form, so
+    pairing many classes against one b builds it once.
     """
 
-    __slots__ = ("ring", "den", "linear", "rows")
+    __slots__ = ("ring", "den", "linear", "cols")
 
     def __init__(self, ring: ChowRing, weight: ChowClass | None):
         wtd = ring.todd if weight is None else weight * ring.todd
-        size = range(len(ring.basis))
+        deg, weights = ring.deg, wtd.nums
+        cells = ring._table.items()  # both orders, so every (i, j) once
         # the numerators of T and P over wtd.den, then cancelled
-        top = [
-            sum(
-                v * c * ring.deg[k]
-                for m, v in wtd.nums.items()
-                for k, c in ring.mul_basis(i, m).items()
-            )
-            for i in size
-        ]
-        mat = [
-            [sum(c * top[m] for m, c in ring.mul_basis(i, j).items())
-             for j in size]
-            for i in size
-        ]
-        g = math.gcd(wtd.den, *top, *(x for row in mat for x in row))
+        top = [0] * len(ring.basis)
+        for (i, m), cell in cells:
+            v = weights.get(m)
+            if v:
+                top[i] += v * sum(c * deg[k] for k, c in cell.items())
+        mat = {}
+        for ij, cell in cells:
+            x = sum(c * top[k] for k, c in cell.items())
+            if x:
+                mat[ij] = x
+        g = math.gcd(wtd.den, *top, *mat.values())
+        cols = [[] for _ in ring.basis]
+        for (i, j), x in mat.items():
+            cols[j].append((i, -(x // g) if ring.codim[i] % 2 else x // g))
         self.ring = ring
         self.den = wtd.den // g
         self.linear = [x // g for x in top]
-        self.rows = [
-            [x // g * (-1) ** ring.codim[i] for x in row]
-            for i, row in enumerate(mat)
-        ]
+        self.cols = tuple(map(tuple, cols))
 
     def _integer(self, num: int, den: int) -> int:
         val, rest = divmod(num, den)
@@ -767,7 +787,9 @@ class PairingForm:
 
     def chi(self, x: ChowClass) -> int:
         linear = self.linear
-        total = sum(linear[i] * v for i, v in x.nums.items())
+        total = 0
+        for i, v in x.nums.items():
+            total += linear[i] * v
         return self._integer(total, x.den * self.den)
 
     def image(self, b: ChowClass) -> list[int]:
@@ -778,15 +800,22 @@ class PairingForm:
             b._images = {}
         except KeyError:
             pass
-        theirs = b.nums.items()
-        img = b._images[self] = [
-            sum(row[j] * y for j, y in theirs) for row in self.rows
-        ]
+        img = [0] * len(self.cols)
+        cols = self.cols
+        for j, y in b.nums.items():
+            for i, p in cols[j]:
+                img[i] += p * y
+        b._images[self] = img
         return img
 
     def pair(self, a: ChowClass, b: ChowClass) -> int:
-        img = self.image(b)
-        total = sum(x * img[i] for i, x in a.nums.items())
+        try:
+            img = b._images[self]
+        except (AttributeError, KeyError):
+            img = self.image(b)
+        total = 0
+        for i, x in a.nums.items():
+            total += x * img[i]
         return self._integer(total, a.den * b.den * self.den)
 
 

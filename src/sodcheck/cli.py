@@ -42,6 +42,7 @@ from .varieties import (
     check_split_certificate,
     double_cover_check,
     get_variety,
+    node_count,
     projection_shadow_report,
 )
 
@@ -49,12 +50,9 @@ from .varieties import (
 def _node_count(text: str) -> int:
     """argparse type of --nodes: a positive integer."""
     try:
-        nodes = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if nodes < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {nodes}")
-    return nodes
+        return node_count(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _variety(args):

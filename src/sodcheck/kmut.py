@@ -21,10 +21,11 @@ Membership of a class in the integer span of a relation set is decided by
 Smith normal form over the integers, and every positive answer carries a
 certificate (the integer combination) that is re-verified by multiplication.
 Each matrix is factorised once: ``_smith_factor`` keeps (diag, U, V) as
-tuples in a bounded ``lru_cache`` keyed by the matrix, and
-``smith_normal_form`` hands out fresh lists; a formal lattice builds its
-relation matrix once.  The certificate is still rebuilt and re-checked
-against the relations on every membership call.
+tuples in a bounded ``lru_cache`` keyed by the matrix.  Membership reads
+those tuples as they are, and ``smith_normal_form`` hands fresh lists to
+other callers; a formal lattice builds its relation matrix once.  The
+certificate is still rebuilt and re-checked against the relations on
+every membership call.
 """
 
 from __future__ import annotations
@@ -150,21 +151,25 @@ def relation_membership(relations: Sequence[Sequence[int]],
     """Is ``target`` an integer combination of the relation rows?
 
     Returns (True, certificate) with certificate . relations == target
-    (re-verified exactly before returning), or (False, None).
+    (re-verified exactly before returning), or (False, None).  The
+    factorisation is read from the memo as it is kept, never copied.
     """
     target = list(map(int, target))
-    rows = [list(map(int, r)) for r in relations]
+    rows = tuple(tuple(map(int, r)) for r in relations)
     if not rows:
         return (not any(target), [] if not any(target) else None)
     n = len(rows[0])
     if len(target) != n:
         raise ValueError("target length does not match relation width")
 
-    diag, u, v = smith_normal_form(rows)
+    diag, u, v = _smith_factor(rows)
     m = len(rows)
     # y . A = t  <=>  (y U^-1) D = t V; w := y U^-1
-    nonzero = [(i, t) for i, t in enumerate(target) if t]
-    tv = [sum(t * v[i][j] for i, t in nonzero) for j in range(n)]
+    tv = [0] * n
+    for t, v_row in zip(target, v):
+        if t:
+            for j, x in enumerate(v_row):
+                tv[j] += t * x
     w = [0] * m
     for j in range(n):
         d = diag[j] if j < len(diag) else 0
@@ -175,11 +180,17 @@ def relation_membership(relations: Sequence[Sequence[int]],
                 w[j] = tv[j] // d
         elif tv[j]:
             return (False, None)
-    cert = [sum(w[i] * u[i][j] for i in range(m)) for j in range(m)]
+    cert = [0] * m
+    for c, u_row in zip(w, u):
+        if c:
+            for j, x in enumerate(u_row):
+                cert[j] += c * x
     # exact verification of the certificate
-    check = [
-        sum(cert[i] * rows[i][j] for i in range(m)) for j in range(n)
-    ]
+    check = [0] * n
+    for c, row in zip(cert, rows):
+        if c:
+            for j, x in enumerate(row):
+                check[j] += c * x
     if check != target:
         return (False, None)
     return (True, cert)
@@ -335,12 +346,12 @@ class FormalLattice:
 
 def mutate_left(lattice, e, f):
     """[L_E F] = [F] - chi(E, F) [E]."""
-    return f - e.scale(lattice.pair(e, f))
+    return f.minus(e, lattice.pair(e, f))
 
 
 def mutate_right(lattice, e, f):
     """[R_E F] = [F] - chi(F, E) [E]."""
-    return f - e.scale(lattice.pair(f, e))
+    return f.minus(e, lattice.pair(f, e))
 
 
 def is_exceptional(lattice, c) -> bool:

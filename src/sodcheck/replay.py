@@ -70,6 +70,7 @@ from .varieties import (
     check_split_certificate,
     format_graded,
     get_variety,
+    node_count,
 )
 
 
@@ -749,12 +750,11 @@ _BLOWUPS = ("blown_p3", "double_cover_blowup")
 def _node_count(text: str) -> int:
     """The value of a ``nodes`` line: a positive integer."""
     try:
-        nodes = int(text)
+        return node_count(text)
     except ValueError:
-        nodes = 0
-    if nodes < 1:
-        raise ReplayError(f"nodes must be a positive integer, got {text!r}")
-    return nodes
+        raise ReplayError(
+            f"nodes must be a positive integer, got {text!r}"
+        ) from None
 
 
 # Argument readers: each turns one argument's text into its typed value or

@@ -98,6 +98,18 @@ UNCHECKED = "UNCHECKED"
 DEFAULT_NODES = 10
 
 
+def node_count(text: str) -> int:
+    """A node count as written on the command line or on a scenario's
+    ``nodes`` line: a positive integer, else ValueError."""
+    try:
+        nodes = int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+    if nodes < 1:
+        raise ValueError(f"must be at least 1, got {nodes}")
+    return nodes
+
+
 # --------------------------------------------------------------------------
 # answers
 

@@ -198,6 +198,24 @@ def test_ch_shifted_term_changes_sign():
     assert ch_bundle(g, b.shifted(1)) == -ch_bundle(g, b)
 
 
+@pytest.mark.parametrize("make, space, pairs", [
+    (ring_p3, (P3,), [((1,), (0, 0, -1))]),  # the tangent bundle
+    (ring_p3, (P3,), [((0,), (0, -1, -1))]),
+    (ring_gr24, (GR24,), [((1, 0), (0, -1))]),  # the tangent bundle
+    (ring_gr24, (GR24,), [((2, 0), (0, 0))]),
+    (ring_gr24, (GR24,), [((0, 0), (0, -3))]),
+])
+def test_ch_counts_term_multiplicity(make, space, pairs):
+    # a term of multiplicity 3 in degree 1 is three copies of the bundle,
+    # shifted once: -3 times its character, and its chi is the staircase's
+    ring = make()
+    once = ch_bundle(ring, irr(space, pairs))
+    thrice = irr(space, pairs, mult=3, shift=1)
+    assert ch_bundle(ring, thrice) == once.scale(-3)
+    assert chi(ring, ch_bundle(ring, thrice)) == cohomology(thrice).euler()
+    assert cohomology(thrice).euler() == -3 * chi(ring, once) != 0
+
+
 def test_chern_from_ch_round_trip():
     g = ring_gr24()
     u = irr((GR24,), [((0, -1), (0, 0))])

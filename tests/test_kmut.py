@@ -1,12 +1,14 @@
 """Smith normal form, relation membership, lattices, and mutations."""
 
+import math
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from sodcheck import kmut
 from sodcheck.bbw import GR24, P3, irr, line
-from sodcheck.chow import ch_bundle, ring_gr24, ring_p3
+from sodcheck.chow import ChowClass, ch_bundle, ring_gr24, ring_p3
 from sodcheck.kmut import (
     AmbientLattice,
     FormalLattice,
@@ -254,6 +256,57 @@ def test_mutation_formula_anchor():
     assert left == o1 - o.scale(4)
     right = mutate_right(LAT_P3, o1, o)
     assert right == o - o1.scale(4)
+
+
+def _lowest_terms(v):
+    return v.den > 0 and all(v.nums.values()) and math.gcd(
+        v.den, *v.nums.values()) == 1
+
+
+def test_fused_mutation_step_matches_scale_then_subtract():
+    # f.minus(e, k) builds F - k E as one vector; it must be the class
+    # f - e.scale(k) builds in two, in lowest terms, on both lattices
+    rng = random.Random(2602)
+    ks = [0, 1, -1, 2, -3, 4, 12, -60]
+    checked = 0
+    for lat in (LAT_P3, LAT_GR):
+        ring = lat.ring
+        for _ in range(20):
+            e, f = (
+                ChowClass(ring, [
+                    F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 12]))
+                    if rng.random() < 0.7 else 0
+                    for _ in ring.basis
+                ])
+                for _ in range(2)
+            )
+            for k in ks + [f.den, -e.den]:
+                got = f.minus(e, k)
+                assert got == f - e.scale(k) and _lowest_terms(got)
+                checked += 1
+        for _ in range(20):
+            e, f = rng.choice(EXC_P3 if lat is LAT_P3 else EXC_GR), \
+                random_class(rng, lat)
+            assert mutate_left(lat, e, f) == f - e.scale(lat.pair(e, f))
+            assert mutate_right(lat, e, f) == f - e.scale(lat.pair(f, e))
+    lat = FormalLattice("demo", lambda a, b: (len(a) * len(b)) % 5 - 2)
+    gens = ["a", "bb", "ccc", "dddd"]
+    for _ in range(40):
+        e, f = (
+            lat.combo({g: rng.randint(-4, 4) for g in rng.sample(gens, 2)})
+            for _ in range(2)
+        )
+        for k in ks:
+            got = f.minus(e, k)
+            assert got == f - e.scale(k) and _lowest_terms(got)
+            assert got.den == 1 and type(got) is type(f)
+            checked += 1
+        assert mutate_left(lat, e, f) == f - e.scale(lat.pair(e, f))
+        assert mutate_right(lat, e, f) == f - e.scale(lat.pair(f, e))
+    assert f.minus(f, 1).is_zero()
+    with pytest.raises(ValueError):
+        f.minus(EXC_P3[0], 1)
+    assert checked == 2 * 20 * 10 + 40 * 8
 
 
 def test_exceptional_detection():

@@ -8,8 +8,10 @@ sheaves on the blowups), together with bilinearity, Serre duality, the
 closed-form blowup line characters, the fourfold's single Koszul-weight
 form, the integer form each class stores (cross-checked against plain
 `Fraction` arithmetic on the dense coefficient vectors), the image P.b each
-class keeps per form, and the integrality guard on every route, on first
-and later calls.  Property runs are derandomized, so the suite stays
+class keeps per form, the nonzero columns each form keeps (against the
+double sum on basis classes and on seeded classes with nearly every entry
+nonzero), and the integrality guard on every route, on first and later
+calls.  Property runs are derandomized, so the suite stays
 deterministic.
 """
 
@@ -392,3 +394,74 @@ def test_integrality_guard_on_the_fourfold_form():
         with pytest.raises(IntegralityError):
             euler_pairing(amb, half, one, weight=weight)
     assert list(half._images) == [amb._forms[weight]]
+
+
+# ------------------------------------------------- the sparse columns
+
+def _dense_classes(rng, ring, sizes):
+    """Seeded classes with exactly ``size`` nonzero entries each, at random
+    positions, denominators up to 12."""
+    out = []
+    for size in sizes:
+        coeffs = [F(0)] * len(ring.basis)
+        for i in rng.sample(range(len(ring.basis)), size):
+            coeffs[i] = F(rng.choice([-1, 1]) * rng.randint(1, 9),
+                          rng.randint(1, 12))
+        out.append(ChowClass(ring, coeffs))
+    return out
+
+
+def _check_columns(ring, weight, reference, nonzero):
+    """The form's columns hold exactly the nonzero entries of the textbook
+    double sum on basis classes, and pair seeded dense classes like it."""
+    form = ring._forms[weight]
+    basis = [ring.monomial(lbl) for lbl in ring.basis]
+    want = {
+        (i, j): reference(ring, x, y) * form.den
+        for i, x in enumerate(basis) for j, y in enumerate(basis)
+    }
+    assert all(v.denominator == 1 for v in want.values())
+    got = {}
+    for j, col in enumerate(form.cols):
+        assert type(col) is tuple
+        for i, p in col:
+            assert type(p) is int and p and (i, j) not in got
+            got[i, j] = p
+    assert got == {ij: v for ij, v in want.items() if v}
+    assert len(got) == nonzero.get(ring.name, len(got))
+    n = len(ring.basis)
+    sizes = [n, n - 1, n - 2, max(1, n // 2), 1]
+    rng = random.Random(2600 + n)
+    lefts, rights = (
+        [x.scale(_lcm_form(x)[1] * form.den)
+         for x in _dense_classes(rng, ring, sizes)]
+        for _ in range(2)
+    )
+    assert len(lefts[2].nums) == n - 2
+    for a in lefts:
+        for b in rights:
+            assert euler_pairing(ring, a, b, weight=weight) == reference(
+                ring, a, b
+            )
+
+
+#: nonzero entries of the pairing matrix, of len(basis)^2
+NONZERO = {"BlP3[10]": 80, "Gr24xP3": 200}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_sparse_columns_match_the_textbook_double_sum(name):
+    ring = RINGS[name]()
+    chi(ring, ring.one())  # builds the form against 1
+    _check_columns(ring, None, reference_pairing, NONZERO)
+
+
+def test_sparse_columns_of_the_fourfold_form():
+    four = get_variety("net_fourfold")
+    amb, weight = four.ambient_ring, four._om_weight
+    chi(amb, amb.one(), weight=weight)
+
+    def weighted(ring, a, b):
+        return ((a.dual() * b) * weight * ring.todd).degree()
+
+    _check_columns(amb, weight, weighted, {amb.name: 84})

@@ -626,6 +626,28 @@ def test_step_table_errors_exit_two_before_the_replay(
     assert err == f"error: line {line}: {message}\n"
 
 
+@pytest.mark.parametrize("old, new, got, expected", [
+    # slot 12 of 24: the entry the doubling leaves as O(-H)
+    ("  entry O(-H)\n", "  entry O(-3h)\n",
+     "('entry', 'O(-2h+e)', 0)", "('entry', 'O(-3h)', 0)"),
+    # slot 14: the first point sheaf twisted down, expected with parity 0
+    ("  family E0: O(-e{i}) [1]\n", "  family E0: O(-e{i})\n",
+     "('entry', 'O(-e1)', 1)", "('entry', 'O(-e1)', 0)"),
+])
+def test_final_state_mismatch_names_the_first_differing_slot(
+        tmp_path, capsys, old, new, got, expected):
+    path = tmp_path / "edited.sod"
+    path.write_text(_edited("blown-p3-doubling", old, new))
+    assert main(["replay", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    fails = [ln for ln in out.splitlines() if "FAIL" in ln]
+    assert fails == [
+        f"scenario blown-p3-doubling: FAIL — final state mismatch: "
+        f"got {got}, expected {expected}"
+    ]
+
+
 def test_every_misspelt_argument_name_is_an_input_error(tmp_path, capsys):
     # each key=value token of the bundled files, its key given a trailing
     # s, must stop the replay before it starts and name its line
