@@ -49,8 +49,9 @@ complexes and answers are not memoised here.  Terms, bundles, complexes
 and answers are immutable (read-only mappings and tuples), so any of them
 can be shared: the constant complexes of the catalog (the incidence Koszul
 complex, the surface structure and ideal complexes, the plane Koszul
-complex) and the fourfold's plane staircases are built once, in
-``varieties``.
+complex, the fourfold's structure-sheaf complex), the fourfold's plane
+staircases and the Hom bundle and tensored Koszul complex of each pair of
+bundle kinds are built once, in ``varieties``.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ class GradedSpace:
         return not self._dims
 
     def euler(self) -> int:
-        return sum((-1) ** deg * d for deg, d in self._dims.items())
+        return sum(-d if deg % 2 else d for deg, d in self._dims.items())
 
     def __repr__(self) -> str:
         return f"GradedSpace({dict(self._dims)!r})"
@@ -389,7 +390,7 @@ class Indeterminate:
 
     def euler(self) -> int:
         """Alternating sum by q - p: exact, as no differential changes it."""
-        return sum((-1) ** (q - p) * d for p, q, d in self.entries)
+        return sum(-d if (q - p) % 2 else d for p, q, d in self.entries)
 
     def describe(self) -> str:
         cells = ", ".join(f"(p={p}, q={q}, dim={d})" for p, q, d in self.entries)

@@ -37,9 +37,10 @@ net-of-quadrics fourfold carved inside that product, the N-point blowup
 of projective 3-space, and the blown-up double cover with its ten
 contracted quadrics.  Alongside the varieties live the shared complex
 builders (the big incidence Koszul complex, the structure-sheaf
-resolutions it induces, the plane Koszul complex) and the three
-standalone verification routines: the split-certificate check, the
-double-cover lattice check, and the ideal-sheaf shadow check.
+resolutions it induces, the plane Koszul complex, and each bundle-kind
+pair's Hom bundle and the fourfold's Koszul complex tensored with it) and
+the three standalone verification routines: the split-certificate check,
+the double-cover lattice check, and the ideal-sheaf shadow check.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import re
 from functools import cache, lru_cache
 from math import comb
+from operator import sub
 from types import MappingProxyType
 
 from . import InputError
@@ -164,7 +166,7 @@ class ExtAnswer:
 
 
 def _euler_sum(graded: dict[int, int]) -> int:
-    return sum((-1) ** t * d for t, d in graded.items())
+    return sum(-d if t % 2 else d for t, d in graded.items())
 
 
 def _from_graded(graded, tag, route, axioms=()) -> ExtAnswer:
@@ -223,20 +225,21 @@ def parse_twist(text: str, symbols) -> dict[str, int]:
     ``symbols`` is the set of allowed symbol names.
     """
     text = text.replace(" ", "")
+    if not text:
+        return {}
     out: dict[str, int] = {}
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text)
+    while pos < end:
         m = _TWIST_TERM.match(text, pos)
         if not m:
             raise InputError(f"cannot parse twist {text!r} at {text[pos:]!r}")
-        if pos > 0 and not m.group(1):
+        sign, digits, sym = m.groups()
+        if pos and not sign:
             raise InputError(f"missing sign between terms in twist {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) else 1
-        sym = m.group(3)
         if sym not in symbols:
             raise InputError(f"unknown twist symbol {sym!r} in {text!r}")
-        out[sym] = out.get(sym, 0) + sign * coeff
+        coeff = int(digits) if digits else 1
+        out[sym] = out.get(sym, 0) + (-coeff if sign == "-" else coeff)
         pos = m.end()
     return {s: c for s, c in out.items() if c}
 
@@ -330,17 +333,41 @@ _PRODUCT = (GR24, P3)
 _DOUBLE_GR = (GR24, GR24)
 
 
+def _kind_bundle(space, kind: str, twists=()) -> EquivariantBundle:
+    """A bundle kind on the first factor of ``space`` (O on the others),
+    twisted by one Pluecker twist per factor."""
+    pairs = [kind_pairs(space[0], kind)]
+    pairs += [kind_pairs(f, "O") for f in space[1:]]
+    b = irr(space, pairs)
+    return b.twist(twists) if any(twists) else b
+
+
 @lru_cache(maxsize=KERNEL_CACHE)
 def _gr_bundle(kind: str, twist: int = 0) -> EquivariantBundle:
     """A bundle kind on the Grassmannian, twisted; built once per
     argument (bundles are immutable, so shared)."""
-    b = irr((GR24,), [kind_pairs(GR24, kind)])
-    return b.twist((twist,)) if twist else b
+    return _kind_bundle((GR24,), kind, (twist,))
 
 
 def _product_bundle(kind: str, g: int = 0, h: int = 0) -> EquivariantBundle:
-    b = irr(_PRODUCT, [kind_pairs(GR24, kind), kind_pairs(P3, "O")])
-    return b.twist((g, h)) if (g or h) else b
+    return _kind_bundle(_PRODUCT, kind, (g, h))
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _hom_kinds(space, kind_a: str, kind_b: str) -> EquivariantBundle:
+    """Hom(K_a, K_b) = K_a^dual x K_b of two untwisted bundle kinds.
+
+    Hom(K_a(t_a), K_b(t_b)) is this bundle twisted by t_b - t_a, so one
+    immutable bundle per kind pair serves the Ext queries between all
+    twists of the two kinds.
+    """
+    return _kind_bundle(space, kind_a).dual().tensor(
+        _kind_bundle(space, kind_b)
+    )
+
+
+def _twist_difference(ta, tb) -> tuple[int, ...]:
+    return tuple(map(sub, tb, ta))
 
 
 def _double_bundle(kind_a, ga, kind_b, gb) -> EquivariantBundle:
@@ -354,7 +381,7 @@ def incidence_koszul() -> TermComplex:
 
     The rank-6 bundle cutting out the incidence locus splits each exterior
     power into irreducible summands; slot p must have total rank C(6, p),
-    which is asserted.  Built once and shared, like the three constant
+    which is asserted.  Built once and shared, like the four constant
     complexes below (a ``TermComplex`` is immutable).
     """
     slots = {
@@ -407,6 +434,7 @@ def surface_ideal_complex() -> TermComplex:
     return TermComplex(cx.space, slots)
 
 
+@cache
 def fourfold_structure_complex() -> TermComplex:
     """Four-term Koszul resolution of the net fourfold's structure sheaf on
     the product of the Grassmannian and projective 3-space."""
@@ -418,6 +446,16 @@ def fourfold_structure_complex() -> TermComplex:
             2: _product_bundle("S2U", -1, -2),
             3: _product_bundle("O", -3, -3),
         },
+    )
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _koszul_hom(kind_a: str, kind_b: str) -> TermComplex:
+    """The fourfold's structure-sheaf Koszul complex tensored with
+    Hom(K_a, K_b) on the ambient product, once per kind pair; twisted by
+    t_b - t_a it is the complex of any two twists of the kinds."""
+    return fourfold_structure_complex().tensor(
+        _hom_kinds(_PRODUCT, kind_a, kind_b)
     )
 
 
@@ -562,6 +600,7 @@ class HomogeneousVariety(Variety):
         self.space = tuple(space)
         self.ring = ring
         self.symbols = tuple(symbols)
+        self._symbol_set = frozenset(self.symbols)
         self.grass_kinds = grass_kinds
         self.dim = sum(f.dim for f in self.space)
         self.lattice = AmbientLattice(ring, name)
@@ -579,8 +618,8 @@ class HomogeneousVariety(Variety):
             raise InputError(f"{self.name} cannot parse label {label!r}")
         if kind != "O" and not self.grass_kinds:
             raise InputError(f"{self.name} only carries line-bundle labels")
-        tw = parse_twist(twist_text, set(self.symbols))
-        return kind, tuple(tw.get(s, 0) for s in self.symbols)
+        tw = parse_twist(twist_text, self._symbol_set)
+        return kind, tuple([tw.get(s, 0) for s in self.symbols])
 
     def format(self, key) -> str:
         kind, twists = key
@@ -595,11 +634,7 @@ class HomogeneousVariety(Variety):
 
     def _bundle(self, key) -> EquivariantBundle:
         if key not in self._bundles:  # bundles are immutable, so shared
-            kind, twists = key
-            pairs = [kind_pairs(self.space[0], kind)]
-            pairs += [kind_pairs(f, "O") for f in self.space[1:]]
-            b = irr(self.space, pairs)
-            self._bundles[key] = b.twist(twists) if any(twists) else b
+            self._bundles[key] = _kind_bundle(self.space, *key)
         return self._bundles[key]
 
     def _class(self, key):
@@ -607,13 +642,24 @@ class HomogeneousVariety(Variety):
             self._classes[key] = ch_bundle(self.ring, self._bundle(key))
         return self._classes[key]
 
+    def _hom(self, pa, pb) -> EquivariantBundle:
+        """Hom(pa, pb): the kind pair's kept bundle, twisted by the
+        difference of the twists."""
+        hom = _hom_kinds(self.space, pa[0], pb[0])
+        d = _twist_difference(pa[1], pb[1])
+        return hom.twist(d) if any(d) else hom
+
     def _ext(self, pa, pb) -> ExtAnswer:
-        res = cohomology(self._bundle(pa).dual().tensor(self._bundle(pb)))
+        res = cohomology(self._hom(pa, pb))
         return _from_graded(res.dims(), BBW, "weight staircase")
 
 
 # --------------------------------------------------------------------------
 # the net-of-quadrics fourfold
+
+#: the fourfold's twist symbols
+_FOURFOLD_SYMBOLS = frozenset(("g", "h"))
+
 
 class NetFourfold(Variety):
     """The fourfold of pairs (plane, quadric-in-the-net containing it).
@@ -657,12 +703,12 @@ class NetFourfold(Variety):
             return ("plane", i, int(m.group(2) or 0))
         m = _CLIFF.match(label)
         if m:
-            tw = parse_twist(m.group(2) or "", {"g", "h"})
+            tw = parse_twist(m.group(2) or "", _FOURFOLD_SYMBOLS)
             return ("cliff", int(m.group(1)), tw.get("g", 0), tw.get("h", 0))
         written, twist_text = _split_twist(label)
         kind = _bundle_kind(written)
         if kind is not None:
-            tw = parse_twist(twist_text, {"g", "h"})
+            tw = parse_twist(twist_text, _FOURFOLD_SYMBOLS)
             return ("bundle", kind, tw.get("g", 0), tw.get("h", 0))
         raise InputError(f"{self.name} cannot parse label {label!r}")
 
@@ -705,7 +751,9 @@ class NetFourfold(Variety):
     def _class(self, key):
         return self.lattice.combo(self._resolve(key))
 
-    # ---- pairing oracle (Riemann-Roch route, independent of the staircase)
+    # ---- pairing oracle: a bundle-bundle pair goes by Riemann-Roch against
+    # the Koszul weight; a pair with a plane reads ``_plane_staircase``, the
+    # same staircase the Ext route to a plane answers from
 
     def _ambient_ch(self, key):
         """ch of a pulled-back bundle on the ambient product, memoised."""
@@ -800,10 +848,17 @@ class NetFourfold(Variety):
             )
         return ans
 
+    def _hom_complex(self, pa, pb) -> TermComplex:
+        """The Koszul complex tensored with Hom(pa, pb) of two bundle
+        keys: the kind pair's kept complex, twisted by the difference of
+        the twists."""
+        cx = _koszul_hom(pa[1], pb[1])
+        d = _twist_difference(pa[2:], pb[2:])
+        return cx.twist(d) if any(d) else cx
+
     def _ext_bundles(self, pa, pb) -> ExtAnswer:
-        T = self._bundle(pa).dual().tensor(self._bundle(pb))
         return _from_staircase(
-            hypercohomology(self._om.tensor(T)), BBW,
+            hypercohomology(self._hom_complex(pa, pb)), BBW,
             "structure-sheaf Koszul + weight staircase",
             "staircase Euler characteristic",
         )
@@ -913,19 +968,19 @@ class BlownProjectiveSpace(Variety):
         self.ring = ring_blowup(nodes)
         self.lattice = AmbientLattice(self.ring, self.name)
         self._classes: dict = {}
-        self._symbols = {"h", "e", "H"} | {
+        self._symbols = frozenset({"h", "e", "H"} | {
             f"e{i}" for i in range(1, nodes + 1)
-        }
+        })
 
     # ---- labels
 
     def _divisor(self, twist_text: str):
         tw = parse_twist(twist_text, self._symbols)
-        h = tw.get("h", 0) + 2 * tw.get("H", 0)
-        e = [
-            tw.get(f"e{i + 1}", 0) + tw.get("e", 0) - tw.get("H", 0)
-            for i in range(self.nodes)
-        ]
+        big_h = tw.pop("H", 0)
+        h = tw.pop("h", 0) + 2 * big_h
+        e = [tw.pop("e", 0) - big_h] * self.nodes
+        for sym, c in tw.items():  # only e1 .. eN are left
+            e[int(sym[1:]) - 1] += c
         return h, tuple(e)
 
     def parse(self, label: str):

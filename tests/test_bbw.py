@@ -14,6 +14,7 @@ from sodcheck.bbw import (
     GR24,
     P3,
     EquivariantBundle,
+    Indeterminate,
     Term,
     TermComplex,
     _dual_pairs,
@@ -419,3 +420,13 @@ def test_trusted_terms_skip_the_checks_but_stay_immutable():
     with pytest.raises(ValueError):
         Term(t.pairs, 0)
     assert Term(t.pairs, "2", "-1").mult == 2
+
+
+def test_euler_numbers_stay_integers_in_negative_degrees():
+    # H^0 of this term is 15-dimensional; three copies shifted by one sit
+    # in degree -1, where (-1) ** -1 is a float
+    res = cohomology(irr((P3,), [((1,), (0, 0, -1))], mult=3, shift=1))
+    assert min(res.dims()) < 0
+    assert type(res.euler()) is int and res.euler() == -45
+    table = Indeterminate((P3,), [(2, 1, 5), (0, 1, 3)], [])
+    assert type(table.euler()) is int and table.euler() == -8

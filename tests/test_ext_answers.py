@@ -10,7 +10,8 @@ branch.  Each pair is asked once and compared with the recording; each
 determinate Euler number is compared with the independent ``Variety.chi``.
 The whole set is then asked again in reverse order, against warm kernel
 memos and bundle caches, and must give identical answers; a warm pass
-builds every answer from the weight kernels' memos, with no miss and no
+builds every answer from the kernel memos (the kept Hom bundles and
+Koszul complexes of each kind pair among them), with no miss and no
 checked term.
 """
 
@@ -83,11 +84,14 @@ EXT_KERNELS = (
     gl_weights._weyl_dim, bbw.bott_factor, bbw._tensor_weights,
     bbw._dual_pairs, varieties._p3_cohomology, varieties._p2_cohomology,
     varieties._quadric_cohomology, varieties._plane_staircase,
-    varieties._gr_bundle,
+    varieties._gr_bundle, varieties._hom_kinds, varieties._koszul_hom,
 )
 #: kernels reached only when another kernel misses: ``_gr_bundle`` is asked
-#: only inside ``_plane_staircase``, so a warm pass never reaches it
-INNER_KERNELS = {"_gr_bundle"}
+#: only inside ``_plane_staircase``, and the weight products and duals only
+#: when a kind pair's Hom bundle or Koszul complex (``_hom_kinds``,
+#: ``_koszul_hom``) or a plane staircase is built, so a warm pass never
+#: reaches them
+INNER_KERNELS = {"_gr_bundle", "_tensor_weights", "_dual_pairs"}
 
 
 def test_warm_pass_misses_no_kernel_and_checks_no_term(monkeypatch):

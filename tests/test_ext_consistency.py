@@ -12,14 +12,21 @@ move, on the labels of every recorded pair:
 
 Where both sides are determinate they must agree.  A side without a
 certified grading is counted, never failed: the tags stay as they are.
+
+The bundle-bundle routes twist one kept Hom bundle (and, on the fourfold,
+one kept Koszul complex) per kind pair by the difference of the twists.
+They are cross-checked, weight by weight, against the per-query
+``dual().tensor()`` of the two bundles that they replaced.
 """
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from sodcheck.bbw import cohomology, hypercohomology
 from sodcheck.varieties import _flip, get_variety
 
 RECORDED = json.loads(
@@ -92,3 +99,52 @@ def test_graded_answers_agree_where_both_sides_are_determinate(
     # the counts show the net compares what it should: a change that
     # makes an answer determinate changes a tag and updates them on purpose
     assert tally == {"agree": agree, "indeterminate": indeterminate}
+
+
+#: the seeded twists of the cross-check keys lie in [-TWIST, TWIST]
+TWIST = 3
+
+
+def _layers(res) -> dict:
+    return {deg: dict(cell) for deg, cell in res.layers.items()}
+
+
+@pytest.mark.parametrize("name", ["P3", "Gr23", "Gr24", "Gr24xP3"])
+def test_kept_hom_bundle_matches_the_per_query_tensor(name):
+    v = get_variety(name)
+    rng = random.Random(f"kept-hom/{name}")
+    keys = [
+        (v.parse(label)[0],
+         tuple(rng.randint(-TWIST, TWIST) for _ in v.symbols))
+        for label in POOLS[name]
+    ]
+    for pa in keys:
+        for pb in keys:
+            old = cohomology(v._bundle(pa).dual().tensor(v._bundle(pb)))
+            new = cohomology(v._hom(pa, pb))
+            assert _layers(new) == _layers(old), (pa, pb)
+            assert v.ext(pa, pb).graded == old.dims(), (pa, pb)
+
+
+def test_kept_koszul_complex_matches_the_per_query_tensor():
+    v = get_variety("net_fourfold")
+    rng = random.Random("kept-koszul")
+    keys = [
+        ("bundle", kind) + tuple(rng.randint(-TWIST, TWIST) for _ in "gh")
+        for kind in ("O", "V/U") for _ in range(6)
+    ]
+    tally: Counter = Counter()
+    for pa in keys:
+        for pb in keys:
+            hom = v._bundle(pa).dual().tensor(v._bundle(pb))
+            old = hypercohomology(v._om.tensor(hom))
+            new = hypercohomology(v._hom_complex(pa, pb))
+            assert new.determinate == old.determinate, (pa, pb)
+            if old.determinate:
+                assert _layers(new) == _layers(old), (pa, pb)
+            else:
+                assert new.entries == old.entries, (pa, pb)
+                assert new.collisions == old.collisions, (pa, pb)
+            tally[old.determinate] += 1
+    # both kinds of staircase are compared
+    assert tally[True] and tally[False], tally

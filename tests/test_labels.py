@@ -162,3 +162,20 @@ def test_malformed_labels_raise_value_error(name, data):
         v.parse(label)
     with pytest.raises(ValueError):
         v.canon(label)
+
+
+#: (variety, label, the InputError message byte for byte)
+LABEL_ERRORS = [
+    ("Gr24", "O(g+)", "cannot parse twist 'g+' at '+'"),
+    ("blown_p3", "O(e1h)", "missing sign between terms in twist 'e1h'"),
+    ("Gr24", "Og)", "unbalanced parentheses in 'Og)'"),
+    ("blown_p3", "O(h e1)", "unknown twist symbol 'he1' in 'he1'"),
+    ("blown_p3", "O(e11)", "unknown twist symbol 'e11' in 'e11'"),
+]
+
+
+@pytest.mark.parametrize("name, label, message", LABEL_ERRORS)
+def test_label_error_messages_are_pinned(name, label, message):
+    with pytest.raises(ValueError) as err:
+        get_variety(name, NODES).parse(label)
+    assert str(err.value) == message

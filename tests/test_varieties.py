@@ -19,6 +19,7 @@ from sodcheck.replay import twist_class
 from sodcheck.varieties import (
     AXIOMS,
     VARIETY_NAMES,
+    _euler_sum,
     axiom_statement,
     check_split_certificate,
     double_cover_check,
@@ -79,6 +80,11 @@ def test_axiom_registry():
         assert axiom_statement(name)
     with pytest.raises(KeyError):
         axiom_statement("unknown_axiom")
+
+
+def test_graded_euler_sum_stays_an_integer_in_negative_degrees():
+    euler = _euler_sum({-1: 45, 2: 3})
+    assert type(euler) is int and euler == -42
 
 
 # ----------------------------------------------------- resolution builders
