@@ -256,7 +256,7 @@ def _tensor_weights(rank: int, a: Weight, b: Weight):
     if rank == 1:
         return ((a + b, 1),)
     if rank == 2:
-        return tuple(tensor_rank2(a, b))
+        return tensor_rank2(a, b)
     det_a = len(set(a.entries)) == 1
     det_b = len(set(b.entries)) == 1
     if det_a or det_b:

@@ -26,8 +26,8 @@ Bundles, complexes and Ext answers are not memoised in this module or in
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, ge, itemgetter
-from typing import Iterable, Iterator
+from operator import add, ge
+from typing import Iterable
 
 #: entries per kernel memo (here and in ``bbw``): the catalog's Ext queries
 #: meet at most a few hundred distinct arguments per kernel, and the bound
@@ -121,66 +121,27 @@ def dualize(w) -> Weight:
     return Weight._of([-e for e in reversed(w)])
 
 
-class WeightSum:
-    """A multiplicity-weighted multiset of weights (a virtual character basis).
-
-    Canonical ordering: terms are reported sorted by entry tuple, so equal
-    sums compare and print identically regardless of insertion order.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Iterable[tuple[Weight, int]] = ()):
-        self._terms: dict[Weight, int] = {}
-        for w, m in terms:
-            self.add(w, m)
-
-    def add(self, w: Weight, mult: int = 1) -> None:
-        m = self._terms.get(w, 0) + mult
-        if m:
-            self._terms[w] = m
-        else:
-            self._terms.pop(w, None)
-
-    def items(self) -> list[tuple[Weight, int]]:
-        return sorted(self._terms.items(), key=itemgetter(0))
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[Weight, int]]:
-        return iter(self.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightSum) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        inner = " + ".join(
-            (f"{m}*{w.entries}" if m != 1 else f"{w.entries}")
-            for w, m in self.items()
-        )
-        return f"WeightSum({inner or '0'})"
-
-
-def tensor_rank2(a, b) -> WeightSum:
+def tensor_rank2(a, b) -> tuple[tuple[Weight, int], ...]:
     """Decompose the tensor product of two irreducible GL(2) representations.
 
     Clebsch--Gordan for GL(2): with a = (a1, a2), b = (b1, b2) dominant,
     the product is multiplicity-free,
 
-        sum over i = 0 .. min(a1 - a2, b1 - b2) of (a1 + b1 - i, a2 + b2 + i).
+        sum over i = 0 .. min(a1 - a2, b1 - b2) of (a1 + b1 - i, a2 + b2 + i),
 
-    Raises on non-dominant input.
+    returned as ``(weight, 1)`` pairs in increasing weight order.  Raises
+    on non-dominant input.
     """
     ea, eb = _as_entries(a), _as_entries(b)
     if len(ea) != 2 or len(eb) != 2:
         raise ValueError("tensor_rank2 needs GL(2) weights")
     if ea[0] < ea[1] or eb[0] < eb[1]:
         raise ValueError("weights must be dominant")
-    out = WeightSum()
-    for i in range(min(ea[0] - ea[1], eb[0] - eb[1]) + 1):
-        out.add(Weight._of((ea[0] + eb[0] - i, ea[1] + eb[1] + i)))
-    return out
+    top = min(ea[0] - ea[1], eb[0] - eb[1])
+    return tuple(
+        (Weight._of((ea[0] + eb[0] - i, ea[1] + eb[1] + i)), 1)
+        for i in range(top, -1, -1)
+    )
 
 
 def weight_multiset(w) -> list[tuple[int, ...]]:

@@ -202,8 +202,6 @@ def relation_membership(relations: Sequence[Sequence[int]],
 class AmbientLattice:
     """K-classes as Chern characters over a Chow ring."""
 
-    kind = "ambient"
-
     def __init__(self, ring, name: str | None = None):
         self.ring = ring
         self.name = name or ring.name
@@ -264,8 +262,6 @@ class FormalLattice:
     class equality is then membership of the difference in their span,
     decided by Smith normal form.
     """
-
-    kind = "formal"
 
     def __init__(self, name: str,
                  pair_oracle: Callable[[Hashable, Hashable], int | None],

@@ -33,14 +33,16 @@ and on the N-point blowups the exceptional symbols are exactly
 
 The catalog covers the ambient homogeneous spaces (projective 3-space,
 the two Grassmannians of planes, and the mixed product), the
-net-of-quadrics fourfold carved inside that product, the N-point blowup
-of projective 3-space, and the blown-up double cover with its ten
-contracted quadrics.  Alongside the varieties live the shared complex
-builders (the big incidence Koszul complex, the structure-sheaf
-resolutions it induces, the plane Koszul complex, and each bundle-kind
-pair's Hom bundle and the fourfold's Koszul complex tensored with it) and
-the three standalone verification routines: the split-certificate check,
-the double-cover lattice check, and the ideal-sheaf shadow check.
+net-of-quadrics fourfold carved inside that product, and the N-point
+blowup of projective 3-space and its blown-up double cover, which share
+one rule for the sheaves on the surfaces over the nodes (exceptional
+planes, contracted quadrics) and read one line-cohomology kernel.
+Alongside the varieties live the shared complex builders (the big
+incidence Koszul complex, the structure-sheaf resolutions it induces, the
+plane Koszul complex, and each bundle-kind pair's Hom bundle and the
+fourfold's Koszul complex tensored with it) and the three standalone
+verification routines: the split-certificate check, the double-cover
+lattice check, and the ideal-sheaf shadow check.
 """
 
 from __future__ import annotations
@@ -489,21 +491,10 @@ def ideal_twisted_cohomology(bundle: EquivariantBundle):
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
-def _p3_cohomology(t: int) -> MappingProxyType:
-    """Graded cohomology of O(t) on projective 3-space, read-only."""
-    return cohomology(line((P3,), (t,))).dims()
-
-
-@lru_cache(maxsize=KERNEL_CACHE)
-def _p2_cohomology(t: int) -> MappingProxyType:
-    """Graded cohomology of O(t) on the projective plane, read-only."""
-    return cohomology(line((P2,), (t,))).dims()
-
-
-@lru_cache(maxsize=KERNEL_CACHE)
-def _quadric_cohomology(a: int, b: int) -> MappingProxyType:
-    """Graded cohomology of O(a, b) on P1 x P1, read-only."""
-    return cohomology(line((P1, P1), (a, b))).dims()
+def _line_cohomology(space, twists) -> MappingProxyType:
+    """Graded cohomology of the line bundle O(twists) on ``space``
+    (projective 3-space, the plane or P1 x P1), read-only."""
+    return cohomology(line(space, twists)).dims()
 
 
 # --------------------------------------------------------------------------
@@ -947,30 +938,45 @@ def _plane_staircase(kind: str, s: int):
 
 
 # --------------------------------------------------------------------------
-# the blown-up projective space
+# the node blowups: the blown-up projective space and its double cover
 
-class BlownProjectiveSpace(Variety):
-    """Projective 3-space blown up in N general points.
+class _NodeBlowup(Variety):
+    """A threefold over projective 3-space with one surface S_i over each
+    of N nodes: the blowup's exceptional planes or its double cover's
+    contracted quadrics.
 
-    Labels are line bundles ``O(D)`` with D spanned by the hyperplane class
-    ``h`` and the exceptional classes ``e1 .. eN`` (``e`` abbreviates their
-    sum, ``H`` the half-anticanonical ``2h - e``), plus the exceptional-plane
-    sheaves ``O_E<i>(a)``.  The class lattice is the ambient Chow lattice.
-    Keys are ``("line", h, (e1, .., eN))`` and ``("eplane", i, a)``.
+    Line bundles are ``O(D)``, D spanned by ``h`` and ``e1 .. eN`` (``e``
+    is their sum, ``H`` the half-anticanonical ``2h - e``), keyed
+    ``("line", h, (e1, .., eN))``; surface sheaves are ``O_E<i>(a)`` or
+    ``O_Q<i>(a,b)``, keyed ``(tag, i, *twists)``.
+
+    Every rule for a surface sheaf is written here once.  The class e_i
+    restricts to S_i as its normal bundle, O(-1) or O(-1,-1), and S_i meets
+    no other e_j and no other surface; the restriction sequence of a divisor
+    and Serre duality (Huybrechts, *Fourier-Mukai Transforms*, 11.1) give
+
+    * Ext(O(D), O_S(a)) = H^*(S, O(a + beta)), beta the e_i coefficient of D;
+    * Ext^t(O_S(a), O(D)) dual to Ext^(3-t)(O(D), O_S(a) x omega);
+    * Ext(O_S(a), O_S(b)) = H^*(S, O(b - a)) + H^*(S, O(b - a - 1))[-1];
+    * no Ext between sheaves on two different surfaces.
+
+    A subclass sets the surface's key tag, label head and pattern, its
+    space, its words in errors and routes, and omega's h and e coefficients;
+    it writes its lattice, ``_class`` and ``_line_ext`` (two line bundles).
     """
 
-    name = "blown_p3"
     dim = 3
-    serre = ("O(-4h+2e)", "O(4h-2e)")
 
     def __init__(self, nodes: int):
         self.nodes = nodes
-        self.ring = ring_blowup(nodes)
-        self.lattice = AmbientLattice(self.ring, self.name)
-        self._classes: dict = {}
         self._symbols = frozenset({"h", "e", "H"} | {
             f"e{i}" for i in range(1, nodes + 1)
         })
+        h, e = self._canonical
+        self._omega = ("line", h, (e,) * nodes)
+        self.serre = (
+            self.format(self._omega), self.format(_negate_line(self._omega))
+        )
 
     # ---- labels
 
@@ -985,12 +991,14 @@ class BlownProjectiveSpace(Variety):
 
     def parse(self, label: str):
         label = label.strip()
-        m = _EPLANE.match(label)
+        m = self._label.match(label)
         if m:
-            i = int(m.group(1))
+            i, *twists = [int(g or 0) for g in m.groups()]
             if not 1 <= i <= self.nodes:
-                raise InputError(f"plane index out of range in {label!r}")
-            return ("eplane", i, int(m.group(2) or 0))
+                raise InputError(
+                    f"{self._words[0]} index out of range in {label!r}"
+                )
+            return (self._tag, i, *twists)
         kind, twist_text = _split_twist(label)
         if kind != "O":
             raise InputError(f"{self.name} cannot parse label {label!r}")
@@ -998,9 +1006,9 @@ class BlownProjectiveSpace(Variety):
         return ("line", h, e)
 
     def format(self, key) -> str:
-        if key[0] == "eplane":
-            _, i, a = key
-            return _wrap(f"O_E{i}", str(a) if a else "")
+        if key[0] == self._tag:
+            twists = ",".join(map(str, key[2:])) if any(key[2:]) else ""
+            return _wrap(f"{self._head}{key[1]}", twists)
         _, h, e = key
         pairs = [(h, "h")]
         if e and all(c == e[0] for c in e) and e[0]:
@@ -1014,11 +1022,53 @@ class BlownProjectiveSpace(Variety):
 
     def twist(self, key, line_key):
         _, dh, de = line_key
-        if key[0] == "eplane":
-            _, i, a = key
-            return ("eplane", i, a - de[i - 1])
+        if key[0] == self._tag:
+            t = de[key[1] - 1]
+            return key[:2] + tuple(a - t for a in key[2:])
         _, h, e = key
         return ("line", h + dh, tuple(x + y for x, y in zip(e, de)))
+
+    # ---- graded Ext
+
+    def _ext(self, pa, pb) -> ExtAnswer:
+        if pa[0] == "line" and pb[0] == "line":
+            return self._line_ext(pa, pb)
+        _, surface, surfaces = self._words
+        if pa[0] == "line":
+            beta = pa[2][pb[1] - 1]
+            twists = tuple(t + beta for t in pb[2:])
+            graded = _line_cohomology(self._surface, twists)
+            return _from_graded(graded, RULE, f"{surface} restriction")
+        if pb[0] == "line":
+            return _serre_dual(
+                self._ext(pb, self.twist(pa, self._omega)), self.dim
+            )
+        if pa[1] != pb[1]:
+            return _from_graded({}, RULE, f"disjoint {surfaces}")
+        d = _twist_difference(pa[2:], pb[2:])
+        normal = tuple(t - 1 for t in d)
+        graded = _merge(
+            _line_cohomology(self._surface, d),
+            _shift(_line_cohomology(self._surface, normal), 1),
+        )
+        return _from_graded(graded, RULE, f"{surface} self-extensions")
+
+
+class BlownProjectiveSpace(_NodeBlowup):
+    """Projective 3-space blown up in N general points; the surfaces are
+    the exceptional planes, keyed ``("eplane", i, a)``.  The class lattice
+    is the ambient Chow lattice."""
+
+    name = "blown_p3"
+    _tag, _head, _label = "eplane", "O_E", _EPLANE
+    _surface, _canonical = (P2,), (-4, 2)
+    _words = ("plane", "exceptional-plane", "exceptional planes")
+
+    def __init__(self, nodes: int):
+        super().__init__(nodes)
+        self.ring = ring_blowup(nodes)
+        self.lattice = AmbientLattice(self.ring, self.name)
+        self._classes: dict = {}
 
     # ---- classes
 
@@ -1040,68 +1090,42 @@ class BlownProjectiveSpace(Variety):
         equals the blowdown's.  Outside that window return None.
         """
         if all(0 <= a <= 2 for a in de):
-            return _p3_cohomology(dh)
+            return _line_cohomology((P3,), (dh,))
         return None
 
-    def _ext(self, pa, pb) -> ExtAnswer:
-        if pa[0] == "line" and pb[0] == "line":
-            dh = pb[1] - pa[1]
-            de = tuple(x - y for x, y in zip(pb[2], pa[2]))
-            if not any(de):
-                return _from_graded(
-                    _p3_cohomology(dh), RULE, "blowdown projection formula"
-                )
-            graded = self.line_graded(dh, de)
-            if graded is not None:
-                return _from_graded(
-                    graded, RULE, "exceptional-layer peeling"
-                )
-            return ExtAnswer(
-                None,
-                euler_pairing(self.ring, self._class(pa), self._class(pb)),
-                CHI_ONLY, "ambient Riemann-Roch Euler characteristic",
-            )
-        if pa[0] == "line" and pb[0] == "eplane":
-            _, i, c = pb
-            beta = pa[2][i - 1]
-            return _from_graded(
-                _p2_cohomology(c + beta), RULE, "exceptional-plane restriction"
-            )
-        if pa[0] == "eplane" and pb[0] == "line":
-            # Ext^t(O_E(a), O(D)) = Ext^(3-t)(O(D), O_E(a-2))^dual
-            return _serre_dual(
-                self._ext(pb, ("eplane", pa[1], pa[2] - 2)), self.dim
-            )
-        # both exceptional planes
-        if pa[1] != pb[1]:
-            return _from_graded({}, RULE, "disjoint exceptional planes")
-        d = pb[2] - pa[2]
-        graded = _merge(_p2_cohomology(d), _shift(_p2_cohomology(d - 1), 1))
-        return _from_graded(
-            graded, RULE, "exceptional-plane self-extensions"
+    def _line_ext(self, pa, pb) -> ExtAnswer:
+        dh = pb[1] - pa[1]
+        de = tuple(x - y for x, y in zip(pb[2], pa[2]))
+        graded = self.line_graded(dh, de)
+        if graded is not None:
+            return _from_graded(graded, RULE, (
+                "exceptional-layer peeling" if any(de)
+                else "blowdown projection formula"
+            ))
+        return ExtAnswer(
+            None,
+            euler_pairing(self.ring, self._class(pa), self._class(pb)),
+            CHI_ONLY, "ambient Riemann-Roch Euler characteristic",
         )
 
 
-# --------------------------------------------------------------------------
-# the blown-up double cover
-
-class CoverBlowup(Variety):
+class CoverBlowup(_NodeBlowup):
     """Double cover of the blown-up projective space, node quadrics resolved.
 
-    Line-bundle labels are pullbacks from the base ``blown_p3``; in addition
-    each node contributes a contracted quadric surface carrying the sheaves
-    ``O_Q<i>(a,b)``.  The lattice is formal, with one relation per node tying
-    the quadric's structure sheaf to the two neighbouring line bundles, and
-    the line-line pairing doubles through the cover.  Line keys are the
-    base's; quadric keys are ``("quad", i, a, b)``.
+    Line bundles are pullbacks from the base ``blown_p3``; the surfaces are
+    the contracted quadrics, keyed ``("quad", i, a, b)``.  The lattice is
+    formal, with one relation per node tying the quadric's structure sheaf
+    to the two neighbouring line bundles, and the line-line pairing doubles
+    through the cover.
     """
 
     name = "double_cover_blowup"
-    dim = 3
-    serre = ("O(-H)", "O(H)")
+    _tag, _head, _label = "quad", "O_Q", _QUAD
+    _surface, _canonical = (P1, P1), (-2, 1)
+    _words = ("quadric", "contracted-quadric", "contracted quadrics")
 
     def __init__(self, nodes: int):
-        self.nodes = nodes
+        super().__init__(nodes)
         self.base = BlownProjectiveSpace(nodes)
         flat = (0,) * nodes
         relations = [
@@ -1114,44 +1138,10 @@ class CoverBlowup(Variety):
             self.name, self._pair_oracle, relations=relations
         )
 
-    # ---- labels
-
-    def parse(self, label: str):
-        label = label.strip()
-        m = _QUAD.match(label)
-        if m:
-            i = int(m.group(1))
-            if not 1 <= i <= self.nodes:
-                raise InputError(f"quadric index out of range in {label!r}")
-            return ("quad", i, int(m.group(2) or 0), int(m.group(3) or 0))
-        kind, twist_text = _split_twist(label)
-        if kind != "O":
-            raise InputError(f"{self.name} cannot parse label {label!r}")
-        h, e = self.base._divisor(twist_text)
-        return ("line", h, e)
-
-    def format(self, key) -> str:
-        if key[0] == "quad":
-            _, i, a, b = key
-            return _wrap(f"O_Q{i}", f"{a},{b}" if (a or b) else "")
-        return self.base.format(key)
-
-    def is_line(self, key) -> bool:
-        return key[0] == "line"
-
-    def twist(self, key, line_key):
-        if key[0] == "quad":
-            _, i, a, b = key
-            t = line_key[2][i - 1]
-            return ("quad", i, a - t, b - t)
-        return self.base.twist(key, line_key)
-
-    # ---- classes
+    # ---- classes and their pairing oracle
 
     def _class(self, key):
         return self.lattice.cls(key)
-
-    # ---- pairing oracle
 
     def _pair_oracle(self, pa, pb):
         return self._ext(pa, pb).chi
@@ -1165,46 +1155,19 @@ class CoverBlowup(Variety):
         down = self.base._class(("line", dh - 2, tuple(c + 1 for c in de)))
         return ring_chi(self.base.ring, top) + ring_chi(self.base.ring, down)
 
-    def _ext(self, pa, pb) -> ExtAnswer:
-        if pa[0] == "line" and pb[0] == "line":
-            dh = pb[1] - pa[1]
-            de = tuple(x - y for x, y in zip(pb[2], pa[2]))
-            top = self.base.line_graded(dh, de)
-            down = self.base.line_graded(dh - 2, tuple(c + 1 for c in de))
-            if top is not None and down is not None:
-                return _from_graded(
-                    _merge(top, down), RULE,
-                    "cover doubling + exceptional-layer peeling",
-                )
-            return ExtAnswer(
-                None, self._line_line_chi(pa, pb), CHI_ONLY,
-                "double-cover doubling, Euler characteristic",
-            )
-        if pa[0] == "line" and pb[0] == "quad":
-            _, i, c, d = pb
-            beta = pa[2][i - 1]
+    def _line_ext(self, pa, pb) -> ExtAnswer:
+        dh = pb[1] - pa[1]
+        de = tuple(x - y for x, y in zip(pb[2], pa[2]))
+        top = self.base.line_graded(dh, de)
+        down = self.base.line_graded(dh - 2, tuple(c + 1 for c in de))
+        if top is not None and down is not None:
             return _from_graded(
-                _quadric_cohomology(c + beta, d + beta), RULE,
-                "contracted-quadric restriction",
+                _merge(top, down), RULE,
+                "cover doubling + exceptional-layer peeling",
             )
-        if pa[0] == "quad" and pb[0] == "line":
-            _, i, c, d = pa
-            beta = pb[2][i - 1]
-            graded = _shift(
-                _quadric_cohomology(-c - beta - 1, -d - beta - 1), 1
-            )
-            return _from_graded(
-                graded, RULE, "contraction duality + quadric restriction"
-            )
-        if pa[1] != pb[1]:
-            return _from_graded({}, RULE, "disjoint contracted quadrics")
-        da, db = pb[2] - pa[2], pb[3] - pa[3]
-        graded = _merge(
-            _quadric_cohomology(da, db),
-            _shift(_quadric_cohomology(da - 1, db - 1), 1),
-        )
-        return _from_graded(
-            graded, RULE, "contracted-quadric self-extensions"
+        return ExtAnswer(
+            None, self._line_line_chi(pa, pb), CHI_ONLY,
+            "double-cover doubling, Euler characteristic",
         )
 
 
@@ -1562,12 +1525,12 @@ def line_euler_by_peeling(dh: int, de) -> int:
 
 def _p2_euler(t: int) -> int:
     """chi(O(t)) on the projective plane, by the weight staircase."""
-    return _euler_sum(_p2_cohomology(t))
+    return _euler_sum(_line_cohomology((P2,), (t,)))
 
 
 def _p3_euler(t: int) -> int:
     """chi(O(t)) on projective 3-space, by the weight staircase."""
-    return _euler_sum(_p3_cohomology(t))
+    return _euler_sum(_line_cohomology((P3,), (t,)))
 
 
 def _negate_line(key):

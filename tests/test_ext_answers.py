@@ -82,8 +82,7 @@ def test_warm_second_pass_in_reverse_is_identical(first_pass):
 #: every memoised kernel under the Ext oracle
 EXT_KERNELS = (
     gl_weights._weyl_dim, bbw.bott_factor, bbw._tensor_weights,
-    bbw._dual_pairs, varieties._p3_cohomology, varieties._p2_cohomology,
-    varieties._quadric_cohomology, varieties._plane_staircase,
+    bbw._dual_pairs, varieties._line_cohomology, varieties._plane_staircase,
     varieties._gr_bundle, varieties._hom_kinds, varieties._koszul_hom,
 )
 #: kernels reached only when another kernel misses: ``_gr_bundle`` is asked

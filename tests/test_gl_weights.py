@@ -14,7 +14,6 @@ import pytest
 from sodcheck.bbw import GR24, P3, bott_factor
 from sodcheck.gl_weights import (
     Weight,
-    WeightSum,
     dualize,
     tensor_rank2,
     weight_multiset,
@@ -109,13 +108,13 @@ def test_dualize_involution_and_dimension():
 
 def test_tensor_rank2_anchors():
     out = tensor_rank2((1, 0), (1, 0))
-    assert out == WeightSum([(Weight((2, 0)), 1), (Weight((1, 1)), 1)])
+    assert out == ((Weight((1, 1)), 1), (Weight((2, 0)), 1))
     # a determinant power just shifts
     out = tensor_rank2((3, 3), (2, 0))
-    assert out == WeightSum([(Weight((5, 3)), 1)])
+    assert out == ((Weight((5, 3)), 1),)
     out = tensor_rank2((2, 0), (2, 0))
-    assert out == WeightSum(
-        [(Weight((4, 0)), 1), (Weight((3, 1)), 1), (Weight((2, 2)), 1)]
+    assert out == (
+        (Weight((2, 2)), 1), (Weight((3, 1)), 1), (Weight((4, 0)), 1)
     )
 
 

@@ -5,6 +5,7 @@ for the homogeneous pieces, projection/peeling formulas for the blowups,
 and hand-reduced Smith forms for the class-lattice memberships.
 """
 
+import itertools
 import random
 from collections import Counter
 from math import comb
@@ -13,7 +14,7 @@ from operator import delitem, setitem
 import pytest
 
 from sodcheck import varieties
-from sodcheck.bbw import GR24, GradedSpace, Indeterminate, irr, line
+from sodcheck.bbw import GR24, P3, GradedSpace, Indeterminate, irr, line
 from sodcheck.kmut import gram
 from sodcheck.replay import twist_class
 from sodcheck.varieties import (
@@ -479,20 +480,20 @@ def quadric_line(a, b):
     return out
 
 
-@pytest.mark.parametrize("kernel, closed_form", [
-    (varieties._p3_cohomology, lambda t: projective_line(3, t)),
-    (varieties._p2_cohomology, lambda t: projective_line(2, t)),
-    (varieties._quadric_cohomology, quadric_line),
+@pytest.mark.parametrize("space, closed_form", [
+    ((P3,), lambda t: projective_line(3, t)),
+    ((varieties.P2,), lambda t: projective_line(2, t)),
+    ((varieties.P1, varieties.P1), quadric_line),
 ], ids=["P3", "P2", "P1xP1"])
-def test_line_cohomology_kernels_are_read_only_memos(kernel, closed_form):
+def test_line_cohomology_kernels_are_read_only_memos(space, closed_form):
+    kernel = varieties._line_cohomology
     rng = random.Random(2303)
-    arity = 2 if kernel is varieties._quadric_cohomology else 1
     for _ in range(40):
-        args = tuple(rng.randint(-7, 7) for _ in range(arity))
-        fresh = kernel.__wrapped__(*args)
-        first = kernel(*args)
+        args = tuple(rng.randint(-7, 7) for _ in range(len(space)))
+        fresh = kernel.__wrapped__(space, args)
+        first = kernel(space, args)
         hits = kernel.cache_info().hits
-        assert kernel(*args) is first
+        assert kernel(space, args) is first
         assert kernel.cache_info().hits == hits + 1
         assert dict(first) == dict(fresh) == closed_form(*args)
         # every route shares the cached map, so no caller may change it
@@ -500,19 +501,47 @@ def test_line_cohomology_kernels_are_read_only_memos(kernel, closed_form):
             first[9] = 1
         with pytest.raises(TypeError):
             del first[next(iter(first), 0)]
-        assert dict(kernel(*args)) == closed_form(*args)
+        assert dict(kernel(space, args)) == closed_form(*args)
+
+
+def shifted(graded):
+    """A graded answer moved up one degree."""
+    return {t + 1: d for t, d in graded.items()}
 
 
 def test_plane_restriction_routes_match_the_closed_form():
     # the Serre and twist relations of tests/test_ext_consistency.py run
-    # both of their sides through these two routes, so a shift of either
-    # route's degrees shows only against the plane's own cohomology
+    # both of their sides through these routes, so a shift of any route's
+    # degrees shows only against the surface's own cohomology
     rest = (0,) * (Y.nodes - 1)
-    for beta in range(-3, 4):
+    for h, beta in itertools.product((0, 2), range(-3, 4)):
+        # h restricts trivially to every surface over a node
+        lb = ("line", h, (beta,) + rest)
         for c in range(-5, 4):
             # Ext(O(beta e1), O_E1(c)) = H^*(P2, O(c + beta))
-            ans = Y.ext(("line", 0, (beta,) + rest), ("eplane", 1, c))
-            assert ans.graded == projective_line(2, c + beta), (beta, c)
+            ans = Y.ext(lb, ("eplane", 1, c))
+            assert ans.graded == projective_line(2, c + beta), (h, beta, c)
+            # Ext^t(O_E1(c), O(beta e1)) is dual to
+            # H^(3-t)(P2, O(c + beta - 2)); Serre duality on the plane,
+            # canonical bundle O(-3), makes it H^(t-1)(P2, O(-c - beta - 1))
+            ans = Y.ext(("eplane", 1, c), lb)
+            assert ans.graded == shifted(
+                projective_line(2, -c - beta - 1)
+            ), (h, beta, c)
+        for c, d in itertools.product(range(-3, 3), repeat=2):
+            # Ext(O(beta e1), O_Q1(c,d)) = H^*(P1 x P1, O(c + beta, d + beta))
+            ans = X.ext(lb, ("quad", 1, c, d))
+            assert ans.graded == quadric_line(c + beta, d + beta), (
+                h, beta, c, d
+            )
+            # Ext^t(O_Q1(c,d), O(beta e1)) is dual to
+            # H^(3-t)(P1 x P1, O(c + beta - 1, d + beta - 1)); Serre duality
+            # on the quadric, canonical bundle O(-2,-2), makes it
+            # H^(t-1)(P1 x P1, O(-c - beta - 1, -d - beta - 1))
+            ans = X.ext(("quad", 1, c, d), lb)
+            assert ans.graded == shifted(
+                quadric_line(-c - beta - 1, -d - beta - 1)
+            ), (h, beta, c, d)
     tally, shapes = Counter(), set()
     for a in range(-3, 4):
         for c in range(-5, 4):
@@ -545,6 +574,24 @@ def test_cover_blowup_relations_identify_quadric_classes():
         assert lat.eq(diff, X.kclass(f"O(-e{i})").scale(-1))
     # without the exceptional line the difference is NOT in the span
     assert not lat.eq(X.kclass("O_Q2") - X.kclass("O"), lat.zero())
+
+
+def test_cover_relations_pair_to_zero_on_both_sides():
+    # each relation O - O(-e_i) - O_Q_i names the zero class, so the
+    # pairing is well defined only if it pairs to zero with every class,
+    # from either side
+    pool = [
+        "O", "O(h)", "O(-h)", "O(H)", "O(-H)", "O(-e1)", "O(e2)", "O(-h+e3)",
+        "O_Q1", "O_Q1(-1,0)", "O_Q3(2,-1)", "O_Q2(1,0)", "O_Q5(0,-2)",
+        "O_Q10", "O_Q10(1,1)", "O_Q7(-1,-1)", "O_Q4(0,1)",
+    ]
+    classes = [X.kclass(label) for label in pool]
+    for i in range(1, X.nodes + 1):
+        rel = X.kclass("O") - X.kclass(f"O(-e{i})") - X.kclass(f"O_Q{i}")
+        assert X.lattice.eq(rel, X.lattice.zero())
+        for label, cls in zip(pool, classes):
+            assert X.lattice.pair(rel, cls) == 0, (i, label)
+            assert X.lattice.pair(cls, rel) == 0, (i, label)
 
 
 def test_formal_lattices_pair_compare_and_twist_without_label_text(
