@@ -39,19 +39,28 @@ weight and term the engine derives from those (duals, twists, shifts,
 tensor summands, pushforwards, Bott results) is built by the trusted
 ``Weight._of`` and ``Term._of``.
 
+The staircase twists in place: ``cohomology(bundle, twists)`` and
+``hypercohomology(cx, twists)`` answer for the bundle or complex tensored
+with O(twists), one Pluecker twist per factor, by shifting each term's
+sub weight inside Bott's algorithm; no twisted term, bundle or complex is
+built, and every twisted cell goes through the same determinacy check.
+
 Three kernels are pure functions of immutable weight data and are
 memoised in bounded ``lru_cache``s, each returning tuples so that a cached
-value cannot be mutated: ``bott_factor`` on (factor, sub, quot),
+value cannot be mutated: ``bott_factor`` on (factor, sub, quot, twist),
 ``_tensor_weights`` on (rank, a, b) and ``_dual_pairs`` on a term's weight
-pairs.  The weight assembly of a product of two terms is not memoised: it
-is a few tuple concatenations over ``_tensor_weights`` hits.  Bundles,
-complexes and answers are not memoised here.  Terms, bundles, complexes
-and answers are immutable (read-only mappings and tuples), so any of them
-can be shared: the constant complexes of the catalog (the incidence Koszul
-complex, the surface structure and ideal complexes, the plane Koszul
-complex, the fourfold's structure-sheaf complex), the fourfold's plane
-staircases and the Hom bundle and tensored Koszul complex of each pair of
-bundle kinds are built once, in ``varieties``.
+pairs.  Factors are interned (one ``HomFactor`` per (k, n)), so they hash
+and compare by identity in those keys.  The weight assembly of a product
+of two terms is not memoised: it is a few tuple concatenations over
+``_tensor_weights`` hits.  Bundles, complexes and answers are not memoised
+here.  Terms, bundles, complexes and answers are immutable (read-only
+mappings and tuples), so any of them can be shared: the constant complexes
+of the catalog (the incidence Koszul complex, the surface structure and
+ideal complexes, the plane Koszul complex, the fourfold's structure-sheaf
+complex), the fourfold's plane staircases and the Hom bundle and tensored
+Koszul complex of each pair of bundle kinds are built once, in
+``varieties``, and each Ext query between twisted bundles hands the kept
+one to the staircase with its twist.
 """
 
 from __future__ import annotations
@@ -65,16 +74,36 @@ from .gl_weights import KERNEL_CACHE, Weight, dualize, tensor_rank2, weyl_dim
 
 
 class HomFactor:
-    """The Grassmannian Gr(k, n) of k-dimensional subspaces, as a factor."""
+    """The Grassmannian Gr(k, n) of k-dimensional subspaces, as a factor.
+
+    One instance per (k, n): ``HomFactor(k, n, name)`` returns the factor
+    already made for (k, n), and a second name for it is a ``ValueError``.
+    So equality and hashing are identity, in C, on every kernel lookup
+    keyed by factors; copies and pickles come back as the same instance.
+    """
 
     __slots__ = ("k", "n", "name")
+    _made: dict[tuple[int, int], "HomFactor"] = {}
 
-    def __init__(self, k: int, n: int, name: str):
+    def __new__(cls, k: int, n: int, name: str):
+        made = cls._made.get((k, n))
+        if made is not None:
+            if made.name != name:
+                raise ValueError(
+                    f"Gr({k}, {n}) is already the factor {made.name!r}"
+                )
+            return made
         if not 0 < k < n:
             raise ValueError("need 0 < k < n")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "name", name)
+        f = object.__new__(cls)
+        object.__setattr__(f, "k", k)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "name", name)
+        cls._made[(k, n)] = f
+        return f
+
+    def __reduce__(self):
+        return (HomFactor, (self.k, self.n, self.name))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomFactor is immutable")
@@ -94,15 +123,6 @@ class HomFactor:
 
     def __repr__(self) -> str:
         return self.name
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomFactor)
-            and (self.k, self.n) == (other.k, other.n)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.n))
 
 
 #: the three factor types in actual use
@@ -288,14 +308,15 @@ def _tensor_terms(space, a: Term, b: Term) -> list[Term]:
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
-def bott_factor(factor: HomFactor, sub: Weight, quot: Weight):
-    """Bott's algorithm on one factor.
+def bott_factor(factor: HomFactor, sub: Weight, quot: Weight, t: int = 0):
+    """Bott's algorithm on one factor, for the weights (sub + t, quot): the
+    term twisted by O(t), with no twisted weight built.
 
     Returns None when all cohomology vanishes, else (degree, ambient_weight)
     where ambient_weight is the dominant GL(n) highest weight of the (unique)
     nonzero cohomology group, sitting in the returned degree.
     """
-    full = sub.entries + quot.entries
+    full = tuple(a + t for a in sub) + quot.entries
     rho = factor.rho
     v = tuple(a + r for a, r in zip(full, rho))
     if len(set(v)) < len(v):
@@ -438,11 +459,23 @@ class TermComplex:
         return f"TermComplex(positions {sorted(self.slots)})"
 
 
-def cohomology(bundle: EquivariantBundle) -> GradedSpace:
-    """Sheaf cohomology of a single equivariant bundle (always determinate)."""
+def _twists(space, twists) -> tuple[int, ...]:
+    """One Pluecker twist per factor; none given is no twist."""
+    if not twists:
+        return (0,) * len(space)
+    if len(twists) != len(space):
+        raise ValueError("one twist per factor")
+    return tuple(twists)
+
+
+def cohomology(bundle: EquivariantBundle, twists=()) -> GradedSpace:
+    """Sheaf cohomology of a single equivariant bundle (always determinate),
+    twisted by O(twists): ``cohomology(bundle.twist(twists))``, read off
+    the untwisted terms."""
+    twists = _twists(bundle.space, twists)
     layers: dict[int, dict[tuple[Weight, ...], int]] = {}
     for term in bundle.terms:
-        res = _term_cohomology(bundle.space, term)
+        res = _term_cohomology(bundle.space, term, twists)
         if res is None:
             continue
         degree, key = res
@@ -451,11 +484,11 @@ def cohomology(bundle: EquivariantBundle) -> GradedSpace:
     return GradedSpace(bundle.space, layers)
 
 
-def _term_cohomology(space, term: Term):
+def _term_cohomology(space, term: Term, twists):
     degree = 0
     key = []
-    for f, (sw, qw) in zip(space, term.pairs):
-        r = bott_factor(f, sw, qw)
+    for f, (sw, qw), t in zip(space, term.pairs, twists):
+        r = bott_factor(f, sw, qw, t)
         if r is None:
             return None
         degree += r[0]
@@ -463,12 +496,14 @@ def _term_cohomology(space, term: Term):
     return degree, tuple(key)
 
 
-def _cell_table(cx: TermComplex):
-    """E_1-style table: {(p, q): {key: mult}} plus per-cell dimensions."""
+def _cell_table(cx: TermComplex, twists):
+    """E_1-style table of the complex twisted by O(twists):
+    {(p, q): {key: mult}}."""
+    twists = _twists(cx.space, twists)
     cells: dict[tuple[int, int], dict[tuple[Weight, ...], int]] = {}
     for p, bundle in cx.slots.items():
         for term in bundle.terms:
-            res = _term_cohomology(cx.space, term)
+            res = _term_cohomology(cx.space, term, twists)
             if res is None:
                 continue
             q, key = res
@@ -495,13 +530,15 @@ def _cell_entries(space, cells):
     ]
 
 
-def hypercohomology(cx: TermComplex):
-    """Total cohomology of the complex, or Indeterminate.
+def hypercohomology(cx: TermComplex, twists=()):
+    """Total cohomology of the complex twisted by O(twists), or
+    Indeterminate: ``hypercohomology(cx.twist(twists))``, read off the
+    untwisted terms.
 
     Determinate exactly when no possible differential (any stage r >= 1)
     connects two occupied cells; then the table collapses by degree q - p.
     """
-    cells = _cell_table(cx)
+    cells = _cell_table(cx, twists)
     clashes = _collisions(cells, min_r=1)
     if clashes:
         return Indeterminate(cx.space, _cell_entries(cx.space, cells), clashes)
@@ -535,7 +572,7 @@ def pushforward_complex(cx: TermComplex, along: int):
     for p, bundle in cx.slots.items():
         for term in bundle.terms:
             sw, qw = term.pairs[along]
-            res = bott_factor(factor, sw, qw)
+            res = bott_factor(factor, sw, qw, 0)
             if res is None:
                 continue
             q, lam = res

@@ -361,7 +361,7 @@ def _hom_kinds(space, kind_a: str, kind_b: str) -> EquivariantBundle:
 
     Hom(K_a(t_a), K_b(t_b)) is this bundle twisted by t_b - t_a, so one
     immutable bundle per kind pair serves the Ext queries between all
-    twists of the two kinds.
+    twists of the two kinds: each passes the twist to the staircase.
     """
     return _kind_bundle(space, kind_a).dual().tensor(
         _kind_bundle(space, kind_b)
@@ -455,7 +455,8 @@ def fourfold_structure_complex() -> TermComplex:
 def _koszul_hom(kind_a: str, kind_b: str) -> TermComplex:
     """The fourfold's structure-sheaf Koszul complex tensored with
     Hom(K_a, K_b) on the ambient product, once per kind pair; twisted by
-    t_b - t_a it is the complex of any two twists of the kinds."""
+    t_b - t_a (in the staircase) it is the complex of any two twists of
+    the kinds."""
     return fourfold_structure_complex().tensor(
         _hom_kinds(_PRODUCT, kind_a, kind_b)
     )
@@ -633,15 +634,14 @@ class HomogeneousVariety(Variety):
             self._classes[key] = ch_bundle(self.ring, self._bundle(key))
         return self._classes[key]
 
-    def _hom(self, pa, pb) -> EquivariantBundle:
-        """Hom(pa, pb): the kind pair's kept bundle, twisted by the
-        difference of the twists."""
-        hom = _hom_kinds(self.space, pa[0], pb[0])
-        d = _twist_difference(pa[1], pb[1])
-        return hom.twist(d) if any(d) else hom
+    def _hom(self, pa, pb) -> tuple[EquivariantBundle, tuple[int, ...]]:
+        """Hom(pa, pb) as the kind pair's kept bundle and the difference
+        of the twists, which the staircase applies."""
+        return (_hom_kinds(self.space, pa[0], pb[0]),
+                _twist_difference(pa[1], pb[1]))
 
     def _ext(self, pa, pb) -> ExtAnswer:
-        res = cohomology(self._hom(pa, pb))
+        res = cohomology(*self._hom(pa, pb))
         return _from_graded(res.dims(), BBW, "weight staircase")
 
 
@@ -839,17 +839,16 @@ class NetFourfold(Variety):
             )
         return ans
 
-    def _hom_complex(self, pa, pb) -> TermComplex:
+    def _hom_complex(self, pa, pb) -> tuple[TermComplex, tuple[int, ...]]:
         """The Koszul complex tensored with Hom(pa, pb) of two bundle
-        keys: the kind pair's kept complex, twisted by the difference of
-        the twists."""
-        cx = _koszul_hom(pa[1], pb[1])
-        d = _twist_difference(pa[2:], pb[2:])
-        return cx.twist(d) if any(d) else cx
+        keys, as the kind pair's kept complex and the difference of the
+        twists, which the staircase applies."""
+        return (_koszul_hom(pa[1], pb[1]),
+                _twist_difference(pa[2:], pb[2:]))
 
     def _ext_bundles(self, pa, pb) -> ExtAnswer:
         return _from_staircase(
-            hypercohomology(self._hom_complex(pa, pb)), BBW,
+            hypercohomology(*self._hom_complex(pa, pb)), BBW,
             "structure-sheaf Koszul + weight staircase",
             "staircase Euler characteristic",
         )
@@ -1506,21 +1505,21 @@ def double_cover_check(base_name: str, polarization: str, collection,
 def line_euler_by_peeling(dh: int, de) -> int:
     """Euler characteristic of a line bundle on the blowup, by layer peeling.
 
-    Independent of the intersection-theory route: peels one exceptional
-    layer at a time through the restriction sequence
+    Independent of the intersection-theory route: peels the exceptional
+    layers one at a time through the restriction sequence
     ``0 -> O(D - e_i) -> O(D) -> O_{E_i}(-a_i) -> 0`` (additive in Euler
     characteristics), reducing to weight-staircase computations on the
-    underlying projective space and on the exceptional planes.
+    underlying projective space and on the exceptional planes.  Peeling
+    a coefficient a > 0 down to 0 adds chi(P2, O(-k)) for k = 1..a;
+    raising a < 0 up to 0 subtracts chi(P2, O(-k-1)) for k = a..-1.
     """
-    de = list(de)
-    for i, a in enumerate(de):
+    total = _p3_euler(dh)
+    for a in de:
         if a > 0:
-            de[i] -= 1
-            return line_euler_by_peeling(dh, de) + _p2_euler(-a)
-        if a < 0:
-            de[i] += 1
-            return line_euler_by_peeling(dh, de) - _p2_euler(-a - 1)
-    return _p3_euler(dh)
+            total += sum(_p2_euler(-k) for k in range(1, a + 1))
+        elif a < 0:
+            total -= sum(_p2_euler(-k - 1) for k in range(a, 0))
+    return total
 
 
 def _p2_euler(t: int) -> int:

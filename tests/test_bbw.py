@@ -5,15 +5,20 @@ staircase, kill repeats, count inversions) before being frozen here; the
 Serre-duality sweep then exercises the same code on thousands of weights.
 """
 
+import copy
+import pickle
 import random
+from collections import Counter
 
 import pytest
 
+from sodcheck import varieties
 from sodcheck.bbw import (
     GR23,
     GR24,
     P3,
     EquivariantBundle,
+    HomFactor,
     Indeterminate,
     Term,
     TermComplex,
@@ -37,6 +42,23 @@ def test_factor_basics():
     assert GR23.canonical_twist == -3
     assert GR24.canonical_twist == -4
     assert GR24.rho == (3, 2, 1, 0)
+
+
+def test_one_factor_per_grassmannian():
+    assert HomFactor(2, 4, "Gr24") is GR24
+    assert HomFactor(1, 4, "P3") is P3
+    with pytest.raises(ValueError, match="already the factor 'Gr24'"):
+        HomFactor(2, 4, "G(2,4)")
+    with pytest.raises(ValueError):
+        HomFactor(0, 4, "point")
+    for f in (P3, GR23, GR24):
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+    space = pickle.loads(pickle.dumps((GR24, P3)))
+    assert space[0] is GR24 and space[1] is P3
+    assert cohomology(line(space, (1, -2))).layers == cohomology(
+        line((GR24, P3), (1, -2))).layers
 
 
 # ------------------------------------------------- frozen cohomology anchors
@@ -430,3 +452,92 @@ def test_euler_numbers_stay_integers_in_negative_degrees():
     assert type(res.euler()) is int and res.euler() == -45
     table = Indeterminate((P3,), [(2, 1, 5), (0, 1, 3)], [])
     assert type(table.euler()) is int and table.euler() == -8
+
+
+# ------------------------------------------------------ twisted staircase
+
+#: the seeded twists of the twisted-staircase checks lie in [-TWIST, TWIST]
+TWIST = 4
+
+
+def _layers(res) -> dict:
+    return {deg: dict(cell) for deg, cell in res.layers.items()}
+
+
+def _random_twists(rng, space):
+    return tuple(rng.randint(-TWIST, TWIST) for _ in space)
+
+
+def test_twisted_bott_factor_is_bott_on_the_shifted_sub_weight():
+    rng = random.Random(2929)
+    for _ in range(400):
+        f = rng.choice([P3, GR23, GR24])
+        sub = _random_weight(rng, f.k)
+        quot = _random_weight(rng, f.n - f.k)
+        t = rng.randint(-TWIST, TWIST)
+        want = uncached_staircase(f, [a + t for a in sub], quot)
+        assert bott_factor(f, sub, quot, t) == want
+        assert bott_factor(f, sub, quot, t) is bott_factor(f, sub, quot, t)
+
+
+@pytest.mark.parametrize(
+    "space", SPACES + [(GR24, GR24)],
+    ids=lambda s: "x".join(f.name for f in s),
+)
+def test_twisted_cohomology_matches_the_twisted_bundle(space):
+    rng = random.Random("twisted-cohomology/" + repr(space))
+    moved = 0
+    for _ in range(150):
+        # one to four terms, with multiplicities and shifts
+        b = EquivariantBundle(
+            space, [_random_term(rng, space) for _ in range(rng.randint(1, 4))]
+        )
+        t = _random_twists(rng, space)
+        want = _layers(cohomology(b.twist(t)))
+        assert _layers(cohomology(b, t)) == want, (b, t)
+        moved += want != _layers(cohomology(b))
+    # the twists change most answers, so a lost twist cannot pass
+    assert moved > 75, moved
+
+
+def test_twisted_hypercohomology_matches_the_twisted_complex():
+    constant = {
+        "incidence Koszul": varieties.incidence_koszul(),
+        "plane Koszul": varieties.plane_koszul(),
+        "surface structure": varieties.surface_structure_complex(),
+        "surface ideal": varieties.surface_ideal_complex(),
+        "fourfold": varieties.fourfold_structure_complex(),
+        "fourfold Hom(V/U, O)": varieties._koszul_hom("V/U", "O"),
+    }
+    rng = random.Random("twisted-hypercohomology")
+    tally: Counter = Counter()
+    for name, cx in constant.items():
+        for _ in range(60):
+            t = _random_twists(rng, cx.space)
+            old = hypercohomology(cx.twist(t))
+            new = hypercohomology(cx, t)
+            assert new.determinate == old.determinate, (name, t)
+            if old.determinate:
+                assert _layers(new) == _layers(old), (name, t)
+            else:
+                assert new.entries == old.entries, (name, t)
+                assert new.collisions == old.collisions, (name, t)
+            tally[old.determinate] += 1
+    # both kinds of staircase are compared
+    assert tally[True] and tally[False], tally
+
+
+def test_a_twist_of_the_wrong_length_is_refused():
+    b = line((GR24, P3), (0, 0))
+    cx = TermComplex((GR24, P3), {0: b, 1: b.shifted(0)})
+    for t in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="one twist per factor"):
+            cohomology(b, t)
+        with pytest.raises(ValueError, match="one twist per factor"):
+            hypercohomology(cx, t)
+        with pytest.raises(ValueError, match="one twist per factor"):
+            b.twist(t)
+    # no twist at all is the untwisted answer; one per factor twists
+    assert cohomology(b, ()).layers == cohomology(b).layers
+    assert cohomology(b, (0, 0)).layers == cohomology(b).layers
+    assert cohomology(b, (1, 2)).dims() == {0: 6 * 10}

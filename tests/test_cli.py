@@ -364,7 +364,7 @@ def test_an_engine_fault_is_internal_not_an_input_error(capsys, monkeypatch):
     # engine, never of a well-formed query
     from sodcheck import varieties
 
-    def broken(bundle):
+    def broken(*args):
         raise ValueError("weights must be dominant")
 
     monkeypatch.setattr(varieties, "cohomology", broken)

@@ -13,8 +13,9 @@ move, on the labels of every recorded pair:
 Where both sides are determinate they must agree.  A side without a
 certified grading is counted, never failed: the tags stay as they are.
 
-The bundle-bundle routes twist one kept Hom bundle (and, on the fourfold,
-one kept Koszul complex) per kind pair by the difference of the twists.
+The bundle-bundle routes hand one kept Hom bundle (and, on the fourfold,
+one kept Koszul complex) per kind pair to the staircase, twisted there by
+the difference of the twists.
 They are cross-checked, weight by weight, against the per-query
 ``dual().tensor()`` of the two bundles that they replaced.
 """
@@ -121,7 +122,7 @@ def test_kept_hom_bundle_matches_the_per_query_tensor(name):
     for pa in keys:
         for pb in keys:
             old = cohomology(v._bundle(pa).dual().tensor(v._bundle(pb)))
-            new = cohomology(v._hom(pa, pb))
+            new = cohomology(*v._hom(pa, pb))
             assert _layers(new) == _layers(old), (pa, pb)
             assert v.ext(pa, pb).graded == old.dims(), (pa, pb)
 
@@ -138,7 +139,7 @@ def test_kept_koszul_complex_matches_the_per_query_tensor():
         for pb in keys:
             hom = v._bundle(pa).dual().tensor(v._bundle(pb))
             old = hypercohomology(v._om.tensor(hom))
-            new = hypercohomology(v._hom_complex(pa, pb))
+            new = hypercohomology(*v._hom_complex(pa, pb))
             assert new.determinate == old.determinate, (pa, pb)
             if old.determinate:
                 assert _layers(new) == _layers(old), (pa, pb)

@@ -448,6 +448,30 @@ def test_peeling_anchors():
     assert line_euler_by_peeling(3, [-1] * 10) == 10
 
 
+def _peeling_one_unit_per_call(dh, de):
+    """Reference: the recursive form, one unit of one coefficient per call."""
+    de = list(de)
+    for i, a in enumerate(de):
+        if a > 0:
+            de[i] -= 1
+            return (_peeling_one_unit_per_call(dh, de)
+                    + varieties._p2_euler(-a))
+        if a < 0:
+            de[i] += 1
+            return (_peeling_one_unit_per_call(dh, de)
+                    - varieties._p2_euler(-a - 1))
+    return varieties._p3_euler(dh)
+
+
+def test_peeling_loop_matches_the_recursive_form():
+    rng = random.Random(1948)
+    for _ in range(300):
+        dh = rng.randint(-3, 3)
+        de = [rng.randint(-3, 3) for _ in range(10)]
+        assert line_euler_by_peeling(dh, de) == _peeling_one_unit_per_call(
+            dh, de), (dh, de)
+
+
 def test_peeling_matches_lattice_chi():
     rng = random.Random(2024)
     base = get_variety("blown_p3", nodes=4)
