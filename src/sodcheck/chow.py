@@ -33,8 +33,17 @@ Two kinds of rings are provided:
   Schur functor (Fulton-Harris, Representation Theory, App. A; Macdonald,
   Symmetric Functions and Hall Polynomials, I.2-I.3);
 * the blowup of projective 3-space in N points, with exceptional divisor
-  square classes, line-bundle characters in closed form and the pushforward
-  characters of sheaves on the exceptional planes.
+  square classes and line-bundle characters in closed form.
+
+Every other characteristic class comes from one standard identity:
+
+* Todd class: log td is additive in the Chern roots,
+  log td = ch_1/2 - sum_{k>=1} (B_2k / 2k) ch_2k with Bernoulli numbers B_2k
+  (Hirzebruch, Topological Methods in Algebraic Geometry, Sec. 1), so
+  td = exp(log td) of the tangent bundle, and ch(K) = exp(-c_1);
+* tautological quotient: ch(Q) = n - ch(U), from 0 -> U -> V -> Q -> 0;
+* sheaves on an exceptional plane E_i of the blowup: restriction,
+  0 -> O(-(j+1) e_i) -> O(-j e_i) -> O_E_i(j) -> 0.
 
 The Grassmannian multiplication tables are generated from the Pieri rule at
 build time; the test suite freezes the resulting values.
@@ -362,7 +371,7 @@ def ch_bundle(ring: ChowRing, bundle: EquivariantBundle) -> ChowClass:
 
 
 # --------------------------------------------------------------------------
-# Newton's identities between Chern classes and characters; Todd polynomial
+# characteristic classes from standard identities
 
 def ch_from_chern(ring: ChowRing, c: list[ChowClass]) -> ChowClass:
     """Chern character of a bundle of rank len(c) from its Chern classes
@@ -382,77 +391,46 @@ def ch_from_chern(ring: ChowRing, c: list[ChowClass]) -> ChowClass:
     return ch
 
 
-def chern_from_ch(ring: ChowRing, ch: ChowClass) -> list[ChowClass]:
-    """c_1..c_dim from a Chern character via Newton's identities."""
-    p = [None]  # power sums, 1-indexed
-    fact = 1
-    for m in range(1, ring.dim + 1):
-        fact *= m
-        p.append(ch.component(m).scale(fact))
-    e: list[ChowClass] = [ring.one()]
-    for m in range(1, ring.dim + 1):
-        acc = ring.zero()
-        for i in range(1, m + 1):
-            term = e[m - i] * p[i]
-            acc = acc + (term if i % 2 else -term)
-        e.append(acc.scale(1, m))
-    return e[1:]
+def _bernoulli(n: int) -> list[Frac]:
+    """B_0..B_n (B_1 = -1/2) from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Frac(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
 
 
-def _equip_homogeneous(ring, factors, taut):
-    """Attach the tautological characters, converted once from the Chern
-    classes in ``taut`` (one (c(U), c(Q)) pair per factor), and compute the
-    Todd class from the equivariant tangent bundle (U-dual tensor quotient
-    on each factor)."""
-    ring.factors = tuple(factors)
-    ring._taut = [
-        (ch_from_chern(ring, cu), ch_from_chern(ring, cq)) for cu, cq in taut
-    ]
-    td = ring.one()
-    c1_total = ring.zero()
-    for fi, f in enumerate(ring.factors):
-        sub = (1,) + (0,) * (f.k - 1)
-        quot = (0,) * (f.n - f.k - 1) + (-1,)
-        pairs = [
-            ((0,) * f.k, (0,) * (f.n - f.k)) for _ in ring.factors
-        ]
-        pairs[fi] = (sub, quot)
-        tangent = irr(ring.factors, pairs)
-        ch_t = ch_bundle(ring, tangent)
-        cs = chern_from_ch(ring, ch_t)
-        # factor Todd via the universal polynomial within this factor's span
-        td_f = _todd_any_dim(ring, cs, f.dim)
-        td = td * td_f
-        c1_total = c1_total + cs[0]
-    ring.todd = td
-    ring.canonical_ch = (-c1_total).exp()
+def _log_todd(ring: ChowRing, ch: ChowClass) -> ChowClass:
+    """log td of a bundle with Chern character ``ch``.
 
-
-def _todd_any_dim(ring, c, degcap):
-    """Todd class from Chern classes, valid through total degree 4; the
-    factor dimensions in the catalog never exceed 4."""
-    if degcap > 4:
-        raise ValueError("factor dimension above 4 is not supported")
-    c = list(c) + [ring.zero()] * (4 - len(c))
-    c1, c2, c3, c4 = c[0], c[1], c[2], c[3]
-    parts = [
-        ring.one(),
-        c1.scale(1, 2),
-        (c1 * c1 + c2).scale(1, 12),
-        (c1 * c2).scale(1, 24),
-        (
-            (c1 * c1 * c2).scale(4)
-            + (c1 * c3)
-            + (c2 * c2).scale(3)
-            - (c1 * c1 * c1 * c1)
-            - c4
-        ).scale(1, 720),
-    ]
-    out = ring.zero()
-    for d, part in enumerate(parts):
-        if d <= degcap:
-            out = out + part
+    Summed over the Chern roots, log(x / (1 - e^-x)) =
+    x/2 - sum_{k>=1} B_2k x^2k / (2k (2k)!), that is
+    ch_1/2 - sum_{k>=1} (B_2k / 2k) ch_2k = ch_1/2 - ch_2/12 + ch_4/120 - ...
+    (Hirzebruch, Topological Methods in Algebraic Geometry, Sec. 1).
+    """
+    bern = _bernoulli(ring.dim)
+    out = ch.component(1).scale(1, 2)
+    for k in range(2, ring.dim + 1, 2):
+        out = out - ch.component(k).scale(bern[k] / k)
     return out
+
+
+def _equip(ring: ChowRing, ch_tangent: ChowClass) -> None:
+    """Todd and canonical classes from the tangent bundle's character:
+    td = exp(log td) and ch(K) = exp(-c_1)."""
+    ring.todd = _log_todd(ring, ch_tangent).exp()
+    ring.canonical_ch = (-ch_tangent.component(1)).exp()
+
+
+def _equip_homogeneous(ring, factor: HomFactor, c_sub) -> None:
+    """Attach the tautological characters of 0 -> U -> V -> Q -> 0: ch(U)
+    from its Chern classes ``c_sub`` and ch(Q) = n - ch(U); then equip the
+    ring from the tangent bundle U-dual tensor Q."""
+    ring.factors = (factor,)
+    ch_sub = ch_from_chern(ring, c_sub)
+    ring._taut = [(ch_sub, ring.one().scale(factor.n) - ch_sub)]
+    sub = (1,) + (0,) * (factor.k - 1)
+    quot = (0,) * (factor.n - factor.k - 1) + (-1,)
+    _equip(ring, ch_bundle(ring, irr(ring.factors, [(sub, quot)])))
 
 
 # --------------------------------------------------------------------------
@@ -494,9 +472,7 @@ def ring_p3() -> ChowRing:
     ring = ChowRing("P3", 3, basis, codim,
                     _table_from_products(basis, products),
                     (0, 0, 0, 1))
-    h = ring.monomial("h")
-    h2, h3 = ring.monomial("h2"), ring.monomial("h3")
-    _equip_homogeneous(ring, (P3,), [([-h], [h, h2, h3])])
+    _equip_homogeneous(ring, P3, [-ring.monomial("h")])
     _CACHE["P3"] = ring
     return ring
 
@@ -576,9 +552,8 @@ def ring_gr24() -> ChowRing:
     if "Gr24" in _CACHE:
         return _CACHE["Gr24"]
     ring, _ = _build_grassmannian("Gr24", (2, 2), 4)
-    s1 = ring.monomial("s1")
-    s2, s11 = ring.monomial("s2"), ring.monomial("s11")
-    _equip_homogeneous(ring, (GR24,), [([-s1, s11], [s1, s2])])
+    s1, s11 = ring.monomial("s1"), ring.monomial("s11")
+    _equip_homogeneous(ring, GR24, [-s1, s11])
     _CACHE["Gr24"] = ring
     return ring
 
@@ -589,7 +564,7 @@ def ring_gr23() -> ChowRing:
         return _CACHE["Gr23"]
     ring, _ = _build_grassmannian("Gr23", (1, 1), 2)
     s1, s11 = ring.monomial("s1"), ring.monomial("s11")
-    _equip_homogeneous(ring, (GR23,), [([-s1, s11], [s1])])
+    _equip_homogeneous(ring, GR23, [-s1, s11])
     _CACHE["Gr23"] = ring
     return ring
 
@@ -689,8 +664,10 @@ def ring_blowup(n: int) -> ChowRing:
         esum = esum + ring.monomial(f"e{i}")
     c1 = h.scale(4) - esum.scale(2)
     c2 = ring.monomial("h2", 6)
-    ring.todd = _todd_any_dim(ring, [c1, c2], 3)
-    ring.canonical_ch = (-c1).exp()
+    # ch(T) = 3 + c1 + (c1^2 - 2 c2)/2: log td has no odd term past degree
+    # 1, so ch_3 is not needed on a threefold
+    ch2 = (c1 * c1 - c2.scale(2)).scale(1, 2)
+    _equip(ring, ring.one().scale(3) + c1 + ch2)
     _CACHE[key] = ring
     return ring
 
@@ -715,17 +692,14 @@ def blowup_line_ch(ring: ChowRing, h_coeff: int, e_coeffs) -> ChowClass:
 
 
 def blowup_plane_ch(ring: ChowRing, i: int, j: int) -> ChowClass:
-    """ch of the pushforward of O(j) from the i-th exceptional plane.
+    """ch of the pushforward of O(j) from the i-th exceptional plane E_i.
 
-    With O(e_i) restricting to O(-1) on the plane:
-    e_i - (j + 1/2) e_i^2 + (j^2/2 + j/2 + 1/6) pt, written over 6.
+    O(-e_i) restricts to O(1) on E_i, so restricting to E_i gives
+    0 -> O(-(j+1) e_i) -> O(-j e_i) -> O_E_i(j) -> 0.
     """
-    idx = ring.index
-    return ChowClass._build(ring, {
-        idx[f"e{i}"]: 6,
-        idx[f"e{i}2"]: -3 * (2 * j + 1),
-        idx["pt"]: 3 * j * j + 3 * j + 1,
-    }, 6)
+    pad = [0] * (i - 1)
+    return (blowup_line_ch(ring, 0, pad + [-j])
+            - blowup_line_ch(ring, 0, pad + [-(j + 1)]))
 
 
 # --------------------------------------------------------------------------

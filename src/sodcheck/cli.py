@@ -324,14 +324,22 @@ def cmd_verify_all(args) -> int:
         paths = sorted(root.glob("*.sod"), key=lambda p: p.stem)
         if not paths:
             raise InputError(f"scenario catalog {root} holds no .sod file")
-        scenarios = [replay_mod.read_scenario(p) for p in paths]
+        scenarios = []
+        for path in paths:
+            try:
+                scenarios.append(replay_mod.read_scenario(path))
+            except replay_mod.MalformedScenario as err:
+                raise InputError(f"{path}: {err}") from None
     else:
         scenarios = [replay_mod.load_scenario(n)
                      for n in replay_mod.SCENARIOS]
     for sc in scenarios:
         if args.nodes is not None:
             sc.nodes = args.nodes
-        result = replay_mod.run_scenario(sc)
+        try:
+            result = replay_mod.run_scenario(sc)
+        except InputError as err:
+            raise InputError(f"scenario {sc.name}: {err}") from None
         axioms_used |= result.axioms_used
         checks.append((f"scenario {result.name}", result.passed,
                        "imports: " + (", ".join(sorted(result.axioms_used))

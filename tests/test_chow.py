@@ -16,8 +16,8 @@ from sodcheck.chow import (
     blowup_line_ch,
     blowup_plane_ch,
     ch_bundle,
+    _log_todd,
     ch_from_chern,
-    chern_from_ch,
     chi,
     euler_pairing,
     ring_blowup,
@@ -216,13 +216,49 @@ def test_ch_counts_term_multiplicity(make, space, pairs):
     assert cohomology(thrice).euler() == -3 * chi(ring, once) != 0
 
 
-def test_chern_from_ch_round_trip():
-    g = ring_gr24()
-    u = irr((GR24,), [((0, -1), (0, 0))])
-    c = chern_from_ch(g, ch_bundle(g, u))
-    assert c[0] == -g.monomial("s1")
-    assert c[1] == g.monomial("s11")
-    assert c[2].is_zero() and c[3].is_zero()
+# ------------------------------------------------- Todd by its logarithm
+
+@pytest.mark.parametrize("make, space, gen", [
+    (ring_p3, (P3,), "h"),
+    (ring_gr24, (GR24,), "s1"),
+])
+def test_log_todd_of_a_line_bundle_is_the_closed_form(make, space, gen):
+    # td(O(1)) = x / (1 - e^-x) = 1 + x/2 + x^2/12 - x^4/720; the x^4
+    # term reaches B_4 (zero on P3, where x^4 = 0)
+    ring = make()
+    x = ring.monomial(gen)
+    got = _log_todd(ring, ch_bundle(ring, line(space, (1,)))).exp()
+    x2 = x * x
+    assert got == (ring.one() + x.scale(F(1, 2)) + x2.scale(F(1, 12))
+                   - (x2 * x2).scale(F(1, 720)))
+
+
+def test_log_todd_of_the_product_tangent_is_the_factor_product():
+    # dimension 7 reaches B_6; log td is additive, so the summed tangent
+    # characters give the kept product of the factor Todd classes, whose
+    # degree is the Todd genus chi(O) = 1
+    ring = ring_gr24_p3()
+    flat_gr, flat_p3 = ((0, 0), (0, 0)), ((0,), (0, 0, 0))
+    t_gr = irr((GR24, P3), [((1, 0), (0, -1)), flat_p3])
+    t_p3 = irr((GR24, P3), [flat_gr, ((1,), (0, 0, -1))])
+    tangent = ch_bundle(ring, t_gr) + ch_bundle(ring, t_p3)
+    td = _log_todd(ring, tangent).exp()
+    assert td == ring.todd
+    assert td.degree() == 1
+
+
+@pytest.mark.parametrize("n", [1, 10, 11])
+def test_blowup_plane_character_by_restriction_matches_the_closed_form(n):
+    # reference: e_i - (j + 1/2) e_i^2 + (j^2/2 + j/2 + 1/6) pt, by
+    # Grothendieck-Riemann-Roch for the plane, where O(e_i) restricts to
+    # O(-1)
+    y = ring_blowup(n)
+    for i in range(1, n + 1):
+        for j in range(-6, 7):
+            want = (y.monomial(f"e{i}") - y.monomial(f"e{i}2").scale(
+                F(2 * j + 1, 2)) + y.monomial("pt").scale(
+                F(3 * j * j + 3 * j + 1, 6)))
+            assert blowup_plane_ch(y, i, j) == want
 
 
 # ------------------------------------------------------------ chi anchors

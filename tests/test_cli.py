@@ -515,6 +515,30 @@ def test_verify_all_parses_each_label_once(capsys, monkeypatch):
     assert counts == VERIFY_ALL_TRAFFIC
 
 
+@pytest.mark.parametrize("nodes, message", [
+    ("3", "scenario cover-blowup-reorder: line 22: quadric index out of "
+          "range in 'O_Q4(-1,0)'"),
+    ("11", "scenario enriques-split: line 21: plane index out of range in "
+           "'O_Pl11(-1)'"),
+])
+def test_verify_all_names_the_scenario_of_an_input_error(capsys, nodes,
+                                                         message):
+    assert main(["--nodes", nodes, "verify-all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_all_names_the_catalog_file_that_fails_to_parse(tmp_path,
+                                                               capsys):
+    (tmp_path / "bad.sod").write_text("variety P3\nO\n")
+    assert main(["--catalog", str(tmp_path), "verify-all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {tmp_path / 'bad.sod'}: line 2: "
+                   "cannot parse line 'O'\n")
+
+
 @pytest.mark.parametrize("make", ["missing", "empty"])
 def test_verify_all_needs_a_catalog_with_scenarios(tmp_path, capsys, make):
     root = tmp_path / "catalog"
