@@ -60,7 +60,8 @@ ideal complexes, the plane Koszul complex, the fourfold's structure-sheaf
 complex), the fourfold's plane staircases and the Hom bundle and tensored
 Koszul complex of each pair of bundle kinds are built once, in
 ``varieties``, and each Ext query between twisted bundles hands the kept
-one to the staircase with its twist.
+one to the staircase with its twist.  Each of them has a ``__reduce__``
+that rebuilds it from its fields, so copies and pickles work.
 """
 
 from __future__ import annotations
@@ -172,6 +173,9 @@ class Term:
         object.__setattr__(t, "shift", shift)
         return t
 
+    def __reduce__(self):
+        return (Term, (self.pairs, self.mult, self.shift))
+
     def __setattr__(self, name, value):
         raise AttributeError("Term is immutable")
 
@@ -202,6 +206,9 @@ class EquivariantBundle:
         for t in self.terms:
             if len(t.pairs) != len(self.space):
                 raise ValueError("term does not match the factor count")
+
+    def __reduce__(self):
+        return (EquivariantBundle, (self.space, self.terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("EquivariantBundle is immutable")
@@ -361,6 +368,10 @@ class GradedSpace:
         object.__setattr__(self, "layers", MappingProxyType(cells))
         object.__setattr__(self, "_dims", MappingProxyType(dims))
 
+    def __reduce__(self):
+        layers = {deg: dict(cell) for deg, cell in self.layers.items()}
+        return (GradedSpace, (self.space, layers))
+
     def __setattr__(self, name, value):
         raise AttributeError("GradedSpace is immutable")
 
@@ -412,6 +423,9 @@ class Indeterminate:
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "collisions", tuple(collisions))
 
+    def __reduce__(self):
+        return (Indeterminate, (self.space, self.entries, self.collisions))
+
     def __setattr__(self, name, value):
         raise AttributeError("Indeterminate is immutable")
 
@@ -448,6 +462,9 @@ class TermComplex:
         for b in self.slots.values():
             if b.space != self.space:
                 raise ValueError("all slots must live on the complex's space")
+
+    def __reduce__(self):
+        return (TermComplex, (self.space, dict(self.slots)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TermComplex is immutable")

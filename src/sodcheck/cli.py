@@ -38,6 +38,7 @@ from .varieties import (
     CHI_ONLY,
     DEFAULT_NODES,
     VARIETY_NAMES,
+    Check,
     axiom_statement,
     check_split_certificate,
     double_cover_check,
@@ -242,10 +243,10 @@ def _move(lat, col, i, direction):
     return col
 
 
-def run_property_suite(rounds: int = 40):
-    """Seeded random checks of the mutation calculus; returns check rows."""
+def run_property_suite(rounds: int = 40) -> tuple[Check, ...]:
+    """Seeded random checks of the mutation calculus, one ``Check`` each."""
     setups = _property_pools()
-    rows = []
+    checks = []
 
     rng = random.Random(101)
     ok = True
@@ -259,8 +260,8 @@ def run_property_suite(rounds: int = 40):
         h = mutate_left(lat, e, f)
         ok = ok and lat.pair(e, h) == 0
         ok = ok and mutate_left(lat, e, mutate_right(lat, e, h)) == h
-    rows.append(("mutations are involutive on the orthogonals", ok,
-                 f"{rounds} random rounds"))
+    checks.append(Check("mutations are involutive on the orthogonals", ok,
+                        f"{rounds} random rounds"))
 
     rng = random.Random(102)
     ok = True
@@ -271,8 +272,8 @@ def run_property_suite(rounds: int = 40):
             i = rng.randrange(len(col) - 1)
             col = _move(lat, col, i, rng.choice(["left", "right"]))
             ok = ok and is_unitriangular(gram(lat, col))
-    rows.append(("collection moves keep the gram unitriangular", ok,
-                 f"{rounds} random walks"))
+    checks.append(Check("collection moves keep the gram unitriangular", ok,
+                        f"{rounds} random walks"))
 
     rng = random.Random(103)
     ok = True
@@ -292,8 +293,8 @@ def run_property_suite(rounds: int = 40):
             return _move(lat, c, 1, "left")
 
         ok = ok and s1(s2(s1(triple))) == s2(s1(s2(triple)))
-    rows.append(("adjacent moves satisfy the braid relation", ok,
-                 f"{rounds} random triples"))
+    checks.append(Check("adjacent moves satisfy the braid relation", ok,
+                        f"{rounds} random triples"))
 
     rng = random.Random(104)
     ok = True
@@ -307,14 +308,13 @@ def run_property_suite(rounds: int = 40):
             mutate_left(lat, e * lb, f * lb)
         ok = ok and mutate_right(lat, e, f) * lb == \
             mutate_right(lat, e * lb, f * lb)
-    rows.append(("twisting commutes with mutation", ok,
-                 f"{rounds} random rounds"))
-    return rows
+    checks.append(Check("twisting commutes with mutation", ok,
+                        f"{rounds} random rounds"))
+    return tuple(checks)
 
 
 def cmd_verify_all(args) -> int:
     nodes = DEFAULT_NODES if args.nodes is None else args.nodes
-    checks = []
     axioms_used: set[str] = set()
 
     if args.catalog:
@@ -333,6 +333,7 @@ def cmd_verify_all(args) -> int:
     else:
         scenarios = [replay_mod.load_scenario(n)
                      for n in replay_mod.SCENARIOS]
+    checks = []
     for sc in scenarios:
         if args.nodes is not None:
             sc.nodes = args.nodes
@@ -341,44 +342,29 @@ def cmd_verify_all(args) -> int:
         except InputError as err:
             raise InputError(f"scenario {sc.name}: {err}") from None
         axioms_used |= result.axioms_used
-        checks.append((f"scenario {result.name}", result.passed,
-                       "imports: " + (", ".join(sorted(result.axioms_used))
-                                      or "none")))
+        checks.append(result.check())
+    blowup = ["O(-h)"] + [f"O(-e{i})" for i in range(1, nodes + 1)] + ["O"]
+    checks += [
+        check_split_certificate(),
+        double_cover_check("P3", "O(2h)", ["O(-h)", "O"], nodes),
+        double_cover_check("blown_p3", "O(H)", blowup, nodes),
+        projection_shadow_report(),
+        *run_property_suite(),
+    ]
 
-    cert = check_split_certificate()
-    checks.append(("split certificate for the surface block", cert.passed,
-                   f"coefficients {cert.certificate}" if cert.passed else
-                   "certificate failed"))
-
-    for base, pol, collection in (
-        ("P3", "O(2h)", ["O(-h)", "O"]),
-        ("blown_p3", "O(H)",
-         ["O(-h)"] + [f"O(-e{i})" for i in range(1, nodes + 1)] + ["O"]),
-    ):
-        rep = double_cover_check(base, pol, collection, nodes)
-        checks.append((f"double-cover doubling on {base}", rep.passed,
-                       f"{len(rep.items)} items"))
-
-    shadow = projection_shadow_report()
-    checks.append(("projection shadow of the surface ideal", shadow.passed,
-                   f"{len(shadow.rows)} basis bundles"))
-
-    for name, ok, detail in run_property_suite():
-        checks.append((name, ok, detail))
-
-    passed = all(ok for _, ok, _ in checks)
+    passed = all(c.passed for c in checks)
     if args.json:
         print(json.dumps({
             "passed": passed,
             "imports_used": sorted(axioms_used),
             "checks": [
-                {"name": n, "passed": ok, "detail": d}
-                for n, ok, d in checks
+                {"name": c.name, "passed": c.passed, "detail": c.detail}
+                for c in checks
             ],
         }))
     else:
-        for n, ok, d in checks:
-            print(f"{'PASS' if ok else 'FAIL'} {n} ({d})")
+        for c in checks:
+            print(f"{'PASS' if c.passed else 'FAIL'} {c.name} ({c.detail})")
         print(f"imports used anywhere: "
               f"{', '.join(sorted(axioms_used)) or 'none'}")
         print("VERIFY-ALL: " + ("PASS" if passed else "FAIL"))

@@ -66,6 +66,7 @@ from .varieties import (
     AXIOM,
     DEFAULT_NODES,
     VARIETY_NAMES,
+    Check,
     ExtAnswer,
     check_split_certificate,
     format_graded,
@@ -245,6 +246,12 @@ class ReplayResult:
 
     def text(self) -> str:
         return "\n".join(self.transcript)
+
+    def check(self) -> Check:
+        """This replay as a check; its detail lists the imports used."""
+        imports = ", ".join(sorted(self.axioms_used)) or "none"
+        return Check(f"scenario {self.name}", self.passed,
+                     f"imports: {imports}")
 
 
 class _Runner:
@@ -670,11 +677,11 @@ class _Runner:
             cert = check_split_certificate()
             if not cert.passed:
                 raise ReplayError("the split certificate fails")
+            _, leave_one_out, sides = cert.items
             self.emit(
-                "    split certificate verified: coefficients "
-                f"{cert.certificate}, leave-one-out fails on all "
-                f"{len(cert.leave_one_out)} relations, "
-                f"{len(cert.side_conditions)} side conditions hold"
+                f"    split certificate verified: {cert.detail}, "
+                f"leave-one-out fails on all {len(leave_one_out.items)} "
+                f"relations, {len(sides.items)} side conditions hold"
             )
         if "exceptional" in step.fields:
             entries = [self.make_concrete(lbl, 0)

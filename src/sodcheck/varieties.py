@@ -42,7 +42,8 @@ incidence Koszul complex, the structure-sheaf resolutions it induces, the
 plane Koszul complex, and each bundle-kind pair's Hom bundle and the
 fourfold's Koszul complex tensored with it) and the three standalone
 verification routines: the split-certificate check, the double-cover
-lattice check, and the ideal-sheaf shadow check.
+lattice check, and the ideal-sheaf shadow check, each returning a
+:class:`Check`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from functools import cache, lru_cache
 from math import comb
 from operator import sub
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import InputError
 from .bbw import (
@@ -1260,48 +1262,28 @@ def get_variety(name: str, nodes: int = DEFAULT_NODES) -> Variety:
 
 
 # --------------------------------------------------------------------------
+# the check record
+
+class Check(NamedTuple):
+    """One verdict: a name, whether it passed, a one-line detail and the
+    sub-checks it stands on; ``verify-all`` prints one row per check."""
+
+    name: str
+    passed: bool
+    detail: str
+    items: tuple = ()
+
+    @classmethod
+    def all_of(cls, name: str, detail: str, items) -> "Check":
+        """A check that passes exactly when every one of ``items`` does."""
+        items = tuple(items)
+        return cls(name, all(c.passed for c in items), detail, items)
+
+
+# --------------------------------------------------------------------------
 # the split certificate
 
-class SplitReport:
-    """Result of the split-certificate verification.
-
-    ``certificate`` is the integer combination expressing the target class
-    in the span of the four defining relations; ``leave_one_out`` records
-    that every proper subset fails; ``side_conditions`` are the graded
-    vanishing/positivity statements that pin the identification down.
-    """
-
-    def __init__(self, generators, relations, target, certificate,
-                 leave_one_out, side_conditions):
-        self.generators = generators
-        self.relations = relations
-        self.target = target
-        self.certificate = certificate
-        self.leave_one_out = leave_one_out
-        self.side_conditions = side_conditions
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.certificate is not None
-            and all(not ok for _, ok in self.leave_one_out)
-            and all(ok for _, ok, _ in self.side_conditions)
-        )
-
-    def describe(self) -> str:
-        lines = []
-        status = "PASS" if self.certificate is not None else "FAIL"
-        cert = self.certificate
-        lines.append(f"certificate {status}: coefficients {cert}")
-        for i, ok in self.leave_one_out:
-            verdict = "fails as required" if not ok else "UNEXPECTEDLY holds"
-            lines.append(f"without relation {i + 1}: {verdict}")
-        for desc, ok, detail in self.side_conditions:
-            lines.append(f"{'PASS' if ok else 'FAIL'} {desc}: {detail}")
-        return "\n".join(lines)
-
-
-def check_split_certificate() -> SplitReport:
+def check_split_certificate() -> Check:
     """Verify the class-level certificate behind the split identification.
 
     Nine named classes, four exact-sequence relations, and the target
@@ -1310,7 +1292,9 @@ def check_split_certificate() -> SplitReport:
     tautological-bundle side.  Membership is decided by Smith reduction;
     the four leave-one-out runs must all fail, showing each relation is
     load-bearing.  The graded side conditions are computed by restriction
-    staircases only.
+    staircases only.  Returns a ``Check`` of three: the certificate, the
+    leave-one-out runs and the side conditions; its detail is the
+    certificate's, or "certificate failed" when any of the three fails.
     """
     generators = [
         "plane_pullback",     # structure pull-push of the distinguished plane
@@ -1346,53 +1330,50 @@ def check_split_certificate() -> SplitReport:
     rows = [vec(r) for r in relations]
     tvec = vec(target)
     ok, certificate = relation_membership(rows, tvec)
-    if not ok:
-        certificate = None
+    found = Check("certificate", ok,
+                  f"coefficients {certificate if ok else None}")
 
-    leave_one_out = []
+    dropped = []
     for drop in range(len(rows)):
-        sub = [r for i, r in enumerate(rows) if i != drop]
-        sub_ok, _ = relation_membership(sub, tvec)
-        leave_one_out.append((drop, sub_ok))
+        held, _ = relation_membership(rows[:drop] + rows[drop + 1:], tvec)
+        dropped.append(Check(
+            f"without relation {drop + 1}", not held,
+            "UNEXPECTEDLY holds" if held else "fails as required",
+        ))
 
     # graded side conditions, all by restriction staircases
-    side_conditions = []
+    sides = []
+    for desc, res, expect in (
+        ("plane structure cohomology is one-dimensional",
+         plane_cohomology(_gr_bundle("O")), {0: 1}),
+        ("plane cohomology of O(-2) vanishes",
+         plane_cohomology(_gr_bundle("O", -2)), {}),
+        ("plane cohomology of U(-2) vanishes",
+         plane_cohomology(_gr_bundle("U", -2)), {}),
+        ("no Ext from O(g) to the half-twist",
+         ideal_twisted_cohomology(_gr_bundle("O", 1)), {}),
+        ("no Ext from Uv(g) to the half-twist",
+         ideal_twisted_cohomology(_gr_bundle("U").tensor(
+             _gr_bundle("O", 1))), {}),
+    ):
+        sides.append(Check(desc, res.determinate and res.dims() == expect,
+                           repr(dict(res.dims()) if res.determinate else res)))
 
-    def record(desc, res, expect):
-        ok = res.determinate and res.dims() == expect
-        side_conditions.append((desc, ok, repr(dict(res.dims())
-                                               if res.determinate else res)))
-
-    record("plane structure cohomology is one-dimensional",
-           plane_cohomology(_gr_bundle("O")), {0: 1})
-    record("plane cohomology of O(-2) vanishes",
-           plane_cohomology(_gr_bundle("O", -2)), {})
-    record("plane cohomology of U(-2) vanishes",
-           plane_cohomology(_gr_bundle("U", -2)), {})
-    record("no Ext from O(g) to the half-twist",
-           ideal_twisted_cohomology(_gr_bundle("O", 1)), {})
-    record("no Ext from Uv(g) to the half-twist",
-           ideal_twisted_cohomology(_gr_bundle("U").tensor(
-               _gr_bundle("O", 1))), {})
-
-    return SplitReport(generators, relations, target, certificate,
-                    leave_one_out, side_conditions)
+    parts = (
+        found,
+        Check.all_of("leave-one-out", f"{len(dropped)} relations", dropped),
+        Check.all_of("side conditions", f"{len(sides)} conditions", sides),
+    )
+    passed = all(c.passed for c in parts)
+    return Check("split certificate for the surface block", passed,
+                 found.detail if passed else "certificate failed", parts)
 
 
 # --------------------------------------------------------------------------
 # the double-cover lattice check
 
-class CoverReport:
-    def __init__(self, items):
-        self.items = items
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.items)
-
-
 def double_cover_check(base_name: str, polarization: str, collection,
-                       nodes: int = DEFAULT_NODES) -> CoverReport:
+                       nodes: int = DEFAULT_NODES) -> Check:
     """Numerical certificate for pulling a collection through a double cover.
 
     Checks, on the base: (i) the canonical class is minus twice the given
@@ -1403,7 +1384,8 @@ def double_cover_check(base_name: str, polarization: str, collection,
     (iv) an independent Euler route re-derives the cover pairing.  The
     labels are parsed once; twists, pairings and Ext queries act on keys.
     Each cover pairing is computed once and kept for the items that ask
-    for it again; every item still checks every pair.
+    for it again; every item still checks every pair.  Returns the
+    ``Check`` "double-cover doubling on <base>" of the five items.
     """
     base = get_variety(base_name, nodes)
     pol = base._line(polarization)
@@ -1417,7 +1399,7 @@ def double_cover_check(base_name: str, polarization: str, collection,
     ok = base.ring.canonical_ch == base._class(
         _negate_line(base.twist(pol, pol))
     )
-    items.append((
+    items.append(Check(
         "canonical class is minus twice the polarization", ok,
         f"H = {polarization}",
     ))
@@ -1436,7 +1418,7 @@ def double_cover_check(base_name: str, polarization: str, collection,
     gram_ok = is_unitriangular(
         gram(base.lattice, [base._class(k) for k in doubled])
     )
-    items.append((
+    items.append(Check(
         "doubled collection is numerically exceptional on the base",
         graded_ok and gram_ok, f"{len(doubled)} classes, {detail}",
     ))
@@ -1455,7 +1437,7 @@ def double_cover_check(base_name: str, polarization: str, collection,
         return val
 
     tri_ok = is_unitriangular([[cover_chi(x, y) for y in keys] for x in keys])
-    items.append((
+    items.append(Check(
         "cover pairing is unitriangular on the collection", tri_ok,
         f"{len(collection)} objects",
     ))
@@ -1468,7 +1450,7 @@ def double_cover_check(base_name: str, polarization: str, collection,
             rhs = sign * cover_chi(y, base.twist(x, neg))
             if lhs != rhs:
                 serre_ok = False
-    items.append((
+    items.append(Check(
         "cover pairing satisfies cover Serre duality", serre_ok,
         f"chi(A,B) = (-1)^{base.dim} chi(B, A x inverse polarization)",
     ))
@@ -1494,12 +1476,13 @@ def double_cover_check(base_name: str, polarization: str, collection,
             indep = indep_chi(x, y) + indep_chi(x, base.twist(y, neg))
             if indep != cover_chi(x, y):
                 ident_ok = False
-    items.append((
+    items.append(Check(
         "cover pairing matches an independent Euler route", ident_ok,
         f"doubling identity re-derived by {route} on all pairs",
     ))
 
-    return CoverReport(items)
+    return Check.all_of(f"double-cover doubling on {base_name}",
+                        f"{len(items)} items", items)
 
 
 def line_euler_by_peeling(dh: int, de) -> int:
@@ -1546,16 +1529,7 @@ def _negate_line(key):
 # --------------------------------------------------------------------------
 # the ideal-sheaf shadow
 
-class ShadowReport:
-    def __init__(self, rows):
-        self.rows = rows
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, _, _, ok in self.rows)
-
-
-def projection_shadow_report() -> ShadowReport:
+def projection_shadow_report() -> Check:
     """Check that the half-twist pushforward matches the surface ideal.
 
     For every irreducible summand T of the Grassmannian's tautological
@@ -1563,7 +1537,8 @@ def projection_shadow_report() -> ShadowReport:
     characteristic of O(h) x T on the fourfold must equal that of
     (ideal sheaf of the degeneracy surface)(3g) x T on the Grassmannian.
     Both sides are computed twice: by the Riemann-Roch lattice and by the
-    weight staircase, and all four numbers must agree.
+    weight staircase, and all four numbers must agree.  Returns a ``Check``
+    with one item per summand, whose detail is the Riemann-Roch pair.
     """
     fourfold = get_variety("net_fourfold")
     gr_ring = ring_gr24()
@@ -1578,7 +1553,7 @@ def projection_shadow_report() -> ShadowReport:
         ("O(2g)", (2, 2)),
     ]
 
-    rows = []
+    items = []
     for label, (la, lb) in schur:
         T_gr = irr((GR24,), [((la, lb), (0, 0))])
         T_amb = irr(_PRODUCT, [((la, lb), (0, 0)), kind_pairs(P3, "O")])
@@ -1601,6 +1576,7 @@ def projection_shadow_report() -> ShadowReport:
             surface_ideal_complex().twist((3,)).tensor(T_gr)
         ).euler()
 
-        ok = lhs == rhs == lhs_bbw == rhs_bbw
-        rows.append((label, lhs, rhs, ok))
-    return ShadowReport(rows)
+        items.append(Check(label, lhs == rhs == lhs_bbw == rhs_bbw,
+                           f"fourfold {lhs}, ideal {rhs}"))
+    return Check.all_of("projection shadow of the surface ideal",
+                        f"{len(items)} basis bundles", items)

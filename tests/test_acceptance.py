@@ -290,10 +290,12 @@ def test_criterion_5_scenario_replays(capsys):
 def test_criterion_6_split_certificate():
     t0 = time.perf_counter()
     rep = check_split_certificate()
+    found, leave_one_out, _ = rep.items
     ok = (
         rep.passed
-        and rep.certificate == [1, -1, 1, 1]
-        and [found for _, found in rep.leave_one_out] == [False] * 4
+        and found.detail == "coefficients [1, -1, 1, 1]"
+        and [c.detail for c in leave_one_out.items]
+        == ["fails as required"] * 4
     )
     verdict(6, ok, "relation membership certified; each of the 4 "
             "leave-one-out runs breaks it", t0)
@@ -312,7 +314,7 @@ def test_criterion_7_double_cover_checks():
         rep = double_cover_check(base, pol, collection, nodes=10)
         if not rep.passed:
             ok = False
-        names = [name for name, passed, _ in rep.items if passed]
+        names = [c.name for c in rep.items if c.passed]
         # the doubling identity chi_cover(x, y) = chi(x, y) + chi(x, y(-H))
         # must be re-derived by an engine independent of the pairing
         if "cover pairing matches an independent Euler route" not in names:
@@ -326,7 +328,8 @@ def test_criterion_7_double_cover_checks():
 def test_criterion_8_projection_shadow():
     t0 = time.perf_counter()
     rep = projection_shadow_report()
-    ok = rep.passed and len(rep.rows) == 6
-    values = ", ".join(str(lhs) for _, lhs, _, _ in rep.rows)
+    ok = rep.passed and len(rep.items) == 6
+    # each detail reads "fourfold <chi>, ideal <chi>"
+    values = ", ".join(c.detail.split(",")[0].split()[1] for c in rep.items)
     verdict(8, ok, f"6 basis bundles, matching Euler numbers ({values})",
             t0)

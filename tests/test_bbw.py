@@ -61,6 +61,36 @@ def test_one_factor_per_grassmannian():
         line((GR24, P3), (1, -2))).layers
 
 
+def _fields(x):
+    """An engine object as a plain value: its type and, slot by slot, its
+    fields; tuples and mappings element by element, with their types."""
+    if isinstance(x, tuple):
+        return type(x), tuple(_fields(v) for v in x)
+    if hasattr(x, "items"):
+        return type(x), {k: _fields(v) for k, v in x.items()}
+    if hasattr(type(x), "__slots__") and not isinstance(x, HomFactor):
+        return type(x), tuple(_fields(getattr(x, n)) for n in x.__slots__)
+    return x
+
+
+_TWISTED = line((GR24, P3), (1, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _TWISTED.terms[0],
+    lambda: _TWISTED,
+    lambda: cohomology(irr((GR24,), [((1, 0), (0, 0))]).twist((2,))),
+    lambda: Indeterminate((P3,), [(0, 1, 2), (1, 2, 3)], [((0, 1), (1, 2))]),
+    lambda: varieties.surface_ideal_complex().twist((3,)),
+], ids=["Term", "EquivariantBundle", "GradedSpace", "Indeterminate",
+        "TermComplex"])
+def test_immutable_objects_copy_and_pickle(make):
+    obj = make()
+    for twin in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin is not obj
+        assert _fields(twin) == _fields(obj)
+
+
 # ------------------------------------------------- frozen cohomology anchors
 
 def sub_quot(factor, sub, quot, twist=0, mult=1):

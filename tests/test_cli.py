@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sodcheck import kmut, varieties
+from sodcheck.bbw import cohomology
 from sodcheck.cli import main
 
 
@@ -431,6 +432,56 @@ def test_verify_all_json_lists_the_text_table_checks(capsys):
     assert len(names) == 12
     assert [c["name"] for c in payload["checks"]] == names
     assert all(c["passed"] for c in payload["checks"])
+    assert [c["detail"] for c in payload["checks"]] == [
+        ln[ln.rindex(" (") + 2:-1] for ln in rows
+    ]
+
+
+def test_verify_all_renders_a_failing_check(monkeypatch, capsys):
+    # the peeling off by one at the P3 twist 1 fails the blowup doubling's
+    # independent-route item alone, so exactly one row fails
+    real = varieties._p3_euler
+    monkeypatch.setattr(varieties, "_p3_euler",
+                        lambda t: real(t) + (t == 1))
+    code, out = run(capsys, "verify-all")
+    assert code == 1
+    assert out == VERIFY_ALL.replace(
+        "PASS double-cover doubling on blown_p3 (5 items)",
+        "FAIL double-cover doubling on blown_p3 (5 items)",
+    ).replace("VERIFY-ALL: PASS", "VERIFY-ALL: FAIL")
+    code, out = run(capsys, "--json", "verify-all")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == [
+        "double-cover doubling on blown_p3"
+    ]
+
+
+def test_a_failing_split_certificate_rejects_the_replay(monkeypatch,
+                                                        capsys):
+    # the two half-twist vanishings see the plane structure cohomology;
+    # the class-level certificate itself still holds
+    monkeypatch.setattr(varieties, "ideal_twisted_cohomology",
+                        lambda bundle: cohomology(varieties._gr_bundle("O")))
+    found, leave_one_out, sides = varieties.check_split_certificate().items
+    assert found.passed and leave_one_out.passed and not sides.passed
+    assert [(c.passed, c.detail) for c in sides.items[3:]] == [
+        (False, "{0: 1}"), (False, "{0: 1}")
+    ]
+    code, out = run(capsys, "replay", "enriques-split")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "scenario enriques-split: FAIL — the split certificate fails"
+    )
+    code, out = run(capsys, "verify-all")
+    assert code == 1
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL ")] == [
+        "FAIL scenario enriques-split (imports: clifford_modules, "
+        "enriques_image_plane, enriques_ten_orthogonal, orlov_blowup_sod)",
+        "FAIL split certificate for the surface block (certificate failed)",
+    ]
+    assert out.splitlines()[-1] == "VERIFY-ALL: FAIL"
 
 
 def test_verify_all_from_a_catalog_directory(tmp_path, capsys):

@@ -20,6 +20,7 @@ from sodcheck.replay import twist_class
 from sodcheck.varieties import (
     AXIOMS,
     VARIETY_NAMES,
+    Check,
     _euler_sum,
     axiom_statement,
     check_split_certificate,
@@ -680,32 +681,42 @@ def test_cover_blowup_serre_label():
 def test_split_certificate_report():
     rep = check_split_certificate()
     assert rep.passed
-    assert rep.certificate == [1, -1, 1, 1]
-    assert rep.leave_one_out == [(0, False), (1, False), (2, False),
-                                 (3, False)]
-    assert all(ok for _, ok, _ in rep.side_conditions)
-    assert "PASS" in rep.describe()
+    assert rep.name == "split certificate for the surface block"
+    assert rep.detail == "coefficients [1, -1, 1, 1]"
+    found, leave_one_out, sides = rep.items
+    assert found == Check("certificate", True, "coefficients [1, -1, 1, 1]")
+    # membership fails without each one of the four relations
+    assert leave_one_out == Check("leave-one-out", True, "4 relations", tuple(
+        Check(f"without relation {i}", True, "fails as required")
+        for i in range(1, 5)
+    ))
+    assert sides.passed and sides.detail == "5 conditions"
+    assert all(c.passed for c in sides.items)
 
 
-#: the split-certificate report, as written before graded answers became
-#: read-only mappings; the side-condition details print as plain dicts
-SPLIT_CERTIFICATE_TEXT = """\
-certificate PASS: coefficients [1, -1, 1, 1]
-without relation 1: fails as required
-without relation 2: fails as required
-without relation 3: fails as required
-without relation 4: fails as required
-PASS plane structure cohomology is one-dimensional: {0: 1}
-PASS plane cohomology of O(-2) vanishes: {}
-PASS plane cohomology of U(-2) vanishes: {}
-PASS no Ext from O(g) to the half-twist: {}
-PASS no Ext from Uv(g) to the half-twist: {}"""
+#: the split certificate's ten sub-checks (verdict, name, detail), as the
+#: text report wrote them before graded answers became read-only mappings;
+#: the side-condition details print as plain dicts
+SPLIT_CERTIFICATE_TEXT = [
+    (True, "certificate", "coefficients [1, -1, 1, 1]"),
+    (True, "without relation 1", "fails as required"),
+    (True, "without relation 2", "fails as required"),
+    (True, "without relation 3", "fails as required"),
+    (True, "without relation 4", "fails as required"),
+    (True, "plane structure cohomology is one-dimensional", "{0: 1}"),
+    (True, "plane cohomology of O(-2) vanishes", "{}"),
+    (True, "plane cohomology of U(-2) vanishes", "{}"),
+    (True, "no Ext from O(g) to the half-twist", "{}"),
+    (True, "no Ext from Uv(g) to the half-twist", "{}"),
+]
 
 
 def test_split_certificate_text_is_pinned():
-    rep = check_split_certificate()
-    assert rep.describe() == SPLIT_CERTIFICATE_TEXT
-    assert [d for _, _, d in rep.side_conditions] == [
+    found, leave_one_out, sides = check_split_certificate().items
+    leaves = [found, *leave_one_out.items, *sides.items]
+    assert [(c.passed, c.name, c.detail) for c in leaves] == \
+        SPLIT_CERTIFICATE_TEXT
+    assert [c.detail for c in sides.items] == [
         "{0: 1}", "{}", "{}", "{}", "{}"
     ]
 
@@ -713,8 +724,9 @@ def test_split_certificate_text_is_pinned():
 def test_double_cover_check_on_p3():
     rep = double_cover_check("P3", "O(2h)", ["O(-h)", "O"])
     assert rep.passed
-    assert len(rep.items) == 5
-    names = [name for name, _, _ in rep.items]
+    assert rep.name == "double-cover doubling on P3"
+    assert rep.detail == "5 items" and len(rep.items) == 5
+    names = [c.name for c in rep.items]
     assert "cover pairing matches an independent Euler route" in names
 
 
@@ -722,8 +734,9 @@ def test_double_cover_check_on_blowup():
     collection = ["O(-h)"] + [f"O(-e{i})" for i in range(1, 5)] + ["O"]
     rep = double_cover_check("blown_p3", "O(H)", collection, nodes=4)
     assert rep.passed
-    assert len(rep.items) == 5
-    detail = dict((n, d) for n, _, d in rep.items)
+    assert rep.name == "double-cover doubling on blown_p3"
+    assert rep.detail == "5 items" and len(rep.items) == 5
+    detail = {c.name: c.detail for c in rep.items}
     assert "peeling" in detail["cover pairing matches an independent "
                               "Euler route"]
 
@@ -731,7 +744,7 @@ def test_double_cover_check_on_blowup():
 def test_double_cover_check_detects_wrong_polarization():
     rep = double_cover_check("P3", "O(h)", ["O(-h)", "O"])
     assert not rep.passed
-    assert not rep.items[0][1]  # canonical-class item must fail
+    assert not rep.items[0].passed  # canonical-class item must fail
 
 
 _COVER_NAMES = (
@@ -745,12 +758,12 @@ _SERRE_DETAIL = "chi(A,B) = (-1)^3 chi(B, A x inverse polarization)"
 
 
 def _cover_items(oks, pol, doubled, detail, objects, route):
-    """The five (name, ok, detail) items of a double-cover report."""
+    """The five (name, ok, detail) items of a double-cover check."""
     details = (
         f"H = {pol}", f"{doubled} classes, {detail}", f"{objects} objects",
         _SERRE_DETAIL, f"doubling identity re-derived by {route} on all pairs",
     )
-    return list(zip(_COVER_NAMES, oks, details))
+    return tuple(map(Check, _COVER_NAMES, oks, details))
 
 
 def _blowup_collection(nodes):
@@ -805,7 +818,7 @@ def test_double_cover_reversed_collection():
         "weight staircase",
     )
     rep = double_cover_check("blown_p3", "O(H)", ["O", "O(-h)"], nodes=4)
-    assert [ok for _, ok, _ in rep.items] == [True, False, False, True, True]
+    assert [c.passed for c in rep.items] == [True, False, False, True, True]
 
 
 def test_double_cover_rejects_a_plane_polarization():
@@ -830,11 +843,13 @@ def test_double_cover_rejects_unparsable_labels():
 def test_projection_shadow_report():
     rep = projection_shadow_report()
     assert rep.passed
-    assert [(label, lhs, rhs) for label, lhs, rhs, _ in rep.rows] == [
-        ("O", 4, 4),
-        ("Uv", 16, 16),
-        ("O(g)", 24, 24),
-        ("S2Uv", 39, 39),
-        ("Uv(g)", 76, 76),
-        ("O(2g)", 70, 70),
-    ]
+    assert rep.name == "projection shadow of the surface ideal"
+    assert rep.detail == "6 basis bundles"
+    assert rep.items == (
+        Check("O", True, "fourfold 4, ideal 4"),
+        Check("Uv", True, "fourfold 16, ideal 16"),
+        Check("O(g)", True, "fourfold 24, ideal 24"),
+        Check("S2Uv", True, "fourfold 39, ideal 39"),
+        Check("Uv(g)", True, "fourfold 76, ideal 76"),
+        Check("O(2g)", True, "fourfold 70, ideal 70"),
+    )
